@@ -17,6 +17,7 @@ from .core import (
 )
 from .decipher import UdVerdict, is_ud, is_ud_bruteforce
 from .errors import (
+    CertificateError,
     ChainViolationError,
     CodeError,
     CodeFileError,
@@ -55,6 +56,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
+    "CertificateError",
     "ChainViolationError",
     "Code",
     "CodeError",

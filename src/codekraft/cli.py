@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Sequence
 
-from .core import Alphabet, Code, Factorization, Word, parse_word
+from .core import Alphabet, Code, Factorization, Word, parse_word, unit_code
 from .decipher import DEFAULT_MAX_STATES, is_ud
 from .errors import (
     ChainViolationError,
@@ -303,8 +303,9 @@ def _cmd_verify(args, out, err) -> int:
         notes.append("equal-kraft-chain: SKIPPED (code is not uniquely decipherable)")
     else:
         if len(code):
-            unit = Code(parsed.alphabet, (Word(parsed.alphabet, (i,)) for i in range(parsed.alphabet.size)))
-            reports.append(check_monotonicity(code, unit, kmax=args.kmax, max_power_words=power_cap))
+            reports.append(
+                check_monotonicity(code, unit_code(parsed.alphabet), kmax=args.kmax, max_power_words=power_cap)
+            )
         else:
             notes.append("monotonicity: SKIPPED (empty code)")
         try:

@@ -210,6 +210,11 @@ class Code:
         return f"Code({self.alphabet.symbols!r}, {self})"
 
 
+def unit_code(alphabet: Alphabet) -> Code:
+    """The full one-symbol code: every symbol of ``alphabet`` as a word."""
+    return Code(alphabet, (Word(alphabet, (i,)) for i in range(alphabet.size)))
+
+
 def make_code(words: Iterable[Word], alphabet: Alphabet) -> Code:
     """Build a :class:`Code` from words; duplicates collapse, order is shortlex."""
     return Code(alphabet, words)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import Code, Factorization, Word
-from .errors import ResourceLimitError
+from .errors import CertificateError, ResourceLimitError
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -138,7 +138,8 @@ def _reconstruct(code: Code, parents: dict, terminal: IndexTuple):
     alphabet = code.alphabet
     left = Factorization(tuple(Word(alphabet, t) for t in behind))
     right = Factorization(tuple(Word(alphabet, t) for t in ahead))
-    assert left.concatenation == right.concatenation and left != right
+    if left.concatenation != right.concatenation or left == right:
+        raise CertificateError(f"reconstructed collision {left} / {right} is not a collision")
     return _ordered_pair(left, right)
 
 

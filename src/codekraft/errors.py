@@ -40,6 +40,14 @@ class ResourceLimitError(CodeError):
         super().__init__(message)
 
 
+class CertificateError(CodeError):
+    """A certificate the library built failed its own check.
+
+    This is a bug in the library, never bad input, so it is deliberately
+    not a :class:`ValueError`.
+    """
+
+
 class NotRefinementError(CodeError):
     """A pair of codes required to be refinement-ordered is not."""
 

@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Code, Word
+from .core import Code, Word, unit_code
 from .decipher import is_ud
 from .errors import ChainViolationError, NotRefinementError
 from .kraft import exact_str, kraft_power, kraft_sum
@@ -75,10 +75,6 @@ class PropositionReport:
         return default
 
 
-def _full_unit_code(alphabet) -> Code:
-    return Code(alphabet, (Word(alphabet, (i,)) for i in range(alphabet.size)))
-
-
 def _effective_kmax(cardinality: int, kmax: int, max_words: int) -> int:
     k = kmax
     while k > 1 and cardinality**k > max_words:
@@ -106,7 +102,7 @@ def check_mcmillan(code: Code, kmax: int = 3) -> PropositionReport:
     passed = value <= 1
     details.append(("status", "bound asserted" if passed else "bound violated"))
     if len(code):
-        unit = _full_unit_code(code.alphabet)
+        unit = unit_code(code.alphabet)
         m = cover_exponent_bound(code, unit)
         details.append(("cover_exponent_m", m))
         for k in range(1, kmax + 1):
@@ -243,13 +239,33 @@ def equal_kraft_refinements(code: Code, max_candidates: int = DEFAULT_MAX_CANDID
     refinement (a redundant one would be strictly larger), so the
     irredundant refinements filtered for unique decipherability and exact
     Kraft equality are the whole set.  Always finite.
+
+    Every partial union S of blocks is a subset of the code D it completes
+    to, so the enumeration drops S as soon as one of two laws rules D out:
+    the Kraft sum grows strictly as words are added (McMillan), so
+    K(S) > K(code) is final; and every subset of a UD code is UD, so a
+    non-UD S is final.  ``max_candidates`` therefore counts only partial
+    unions that pass both tests.  Each returned code is still checked for
+    irredundance, exact Kraft equality and unique decipherability.
     """
     if not is_ud(code).is_ud:
         raise ValueError("equal-Kraft refinement enumeration requires a UD code")
     value = kraft_sum(code)
+    alphabet = code.alphabet
+    r = alphabet.size
+    # blocks are no longer than maxlen(code), so K(S) <= K(code) is exact in
+    # integers over the common denominator r^top
+    top = max((len(w) for w in code), default=0)
+    budget = sum(r ** (top - len(w)) for w in code)
+
+    def admissible(blocks) -> bool:
+        if sum(r ** (top - len(t)) for t in blocks) > budget:
+            return False
+        return is_ud(Code(alphabet, (Word(alphabet, t) for t in blocks))).is_ud
+
     keep = [
         candidate
-        for candidate in irredundant_refinements(code, max_candidates)
+        for candidate in irredundant_refinements(code, max_candidates, admissible=admissible)
         if kraft_sum(candidate) == value and is_ud(candidate).is_ud
     ]
     return tuple(sorted(keep, key=lambda c: c.sort_key))

@@ -9,7 +9,7 @@ proper subset of D is still finer than C.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import Code, Factorization, Word
 from .errors import EmptyCodeError, MixedAlphabetsError, ResourceLimitError
@@ -213,7 +213,12 @@ def _composition_block_sets(word: Word, max_candidates: int) -> list[frozenset[I
     return sorted(out, key=lambda s: sorted(s))
 
 
-def irredundant_refinements(coarse: Code, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> tuple[Code, ...]:
+def irredundant_refinements(
+    coarse: Code,
+    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+    *,
+    admissible: Optional[Callable[[frozenset[IndexTuple]], bool]] = None,
+) -> tuple[Code, ...]:
     """All irredundant refinements of ``coarse``, canonically ordered.
 
     Every irredundant refinement is the union of the blocks of one
@@ -224,17 +229,32 @@ def irredundant_refinements(coarse: Code, max_candidates: int = DEFAULT_MAX_CAND
     candidate it would have produced is still produced through the smaller
     union.  The survivors are minimality-filtered and returned.
 
-    Exceeding ``max_candidates`` live partial unions raises
+    ``admissible``, when given, is called with a partial union as the
+    frozenset of its blocks' symbol-index tuples and must be closed under
+    subsets: if it holds for a set of blocks it holds for every subset.
+    Each distinct partial union is tested once, when first formed, and
+    dropped if the test fails.  Its completions are supersets and would
+    fail too, and no surviving union contains a dropped one, so the result
+    is exactly the unpruned result restricted to admissible codes.
+
+    Exceeding ``max_candidates`` live (admissible) partial unions raises
     :class:`ResourceLimitError` (cap and count reported), never truncates.
     """
     alphabet = coarse.alphabet
+    verdicts: dict[frozenset[IndexTuple], bool] = {}
     states: list[frozenset[IndexTuple]] = [frozenset()]
     for word in coarse.words:
         block_sets = _composition_block_sets(word, max_candidates)
         merged: set[frozenset[IndexTuple]] = set()
         for state in states:
             for blocks in block_sets:
-                merged.add(state | blocks)
+                union = state | blocks
+                if admissible is not None:
+                    if union not in verdicts:
+                        verdicts[union] = admissible(union)
+                    if not verdicts[union]:
+                        continue
+                merged.add(union)
                 if len(merged) > max_candidates:
                     raise ResourceLimitError(
                         f"more than {max_candidates} candidate refinements while processing"

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -170,6 +173,45 @@ class TestCommands:
         assert status == 0
         assert out.splitlines()[-1] == "verify: PASS"
         assert "mcmillan: PASS" in out
+
+    def test_verify_five_word_prefix_code(self, tmp_path):
+        path = tmp_path / "five.code"
+        path.write_text("alphabet 01\n0\n10\n110\n1110\n1111\n")
+        status, out, _ = run("verify", str(path))
+        assert status == 0
+        assert out.splitlines() == [
+            "mcmillan: PASS (UD, K = 1/1 ≤ 1)",
+            "power-law: PASS (equality at k = 1..3)",
+            "monotonicity: PASS (m = 4, K(C) = 1/1 = K(D) = 1/1)",
+            "equal-kraft-finiteness: PASS (3 equal-Kraft refinements)",
+            "equal-kraft-chain: PASS (2 members, all K = 1/1)",
+            "verify: PASS",
+        ]
+        status, out, _ = run("--json", "verify", str(path))
+        assert status == 0
+        payload = json.loads(out)
+        assert payload["verdict"] is True
+        assert payload["witnesses"]["notes"] == []
+        reports = payload["witnesses"]["reports"]
+        assert [(r["id"], r["passed"]) for r in reports] == [
+            ("mcmillan", True),
+            ("power-law", True),
+            ("monotonicity", True),
+            ("equal-kraft-finiteness", True),
+            ("equal-kraft-chain", True),
+        ]
+        assert reports[3]["details"]["count"] == 3
+        assert reports[4]["details"]["length"] == 2
+
+    def test_certificate_check_survives_optimized_mode(self):
+        src = str(Path(__file__).parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-O", "-m", "codekraft.cli", "ud", fix("ambiguous.code")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stdout == "not UD: 010 = 0·10 = 01·0\n"
 
     def test_verify_non_ud_out_of_hypothesis(self):
         status, out, _ = run("verify", fix("ambiguous.code"))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from codekraft import ResourceLimitError, is_ud, is_ud_bruteforce
+from codekraft import CertificateError, ResourceLimitError, is_ud, is_ud_bruteforce
+from codekraft.decipher import _reconstruct
 
 from helpers import bcode, binary_codes, brute_force_bound, random_prefix_codes, splitter
 
@@ -45,6 +46,14 @@ class TestIsUd:
     def test_state_guard(self):
         with pytest.raises(ResourceLimitError):
             is_ud(bcode("0", "01", "10"), max_states=0)
+
+    def test_corrupted_parent_map_raises_certificate_error(self):
+        code = bcode("0", "01", "11")
+        # true record for suffix 1 is ("init", 0, 01); 11 leaves no suffix 1 behind 0
+        parents = {(1,): ("init", (0,), (1, 1))}
+        with pytest.raises(CertificateError) as exc:
+            _reconstruct(code, parents, (1,))
+        assert not isinstance(exc.value, ValueError)
 
     def test_subset_closure_on_corpus(self):
         import itertools

@@ -7,6 +7,7 @@ import pytest
 from codekraft import (
     ChainViolationError,
     NotRefinementError,
+    ResourceLimitError,
     PropositionId,
     check_chain,
     check_equal_kraft_finiteness,
@@ -17,13 +18,14 @@ from codekraft import (
     cover_exponent_bound,
     equal_kraft_refinements,
     first_factorization,
+    irredundant_refinements,
     is_irredundant_refinement,
     is_refinement,
     is_ud,
     kraft_sum,
 )
 
-from helpers import bcode, binary_codes, random_ud_pairs
+from helpers import bcode, binary_codes, random_prefix_codes, random_ud_pairs
 
 
 class TestMcMillan:
@@ -172,6 +174,24 @@ class TestEqualKraftRefinements:
         assert report.passed
         assert report.get("count") == 2
         assert report.get("member_0") == "{0, 1}"
+
+    def test_pruned_enumeration_matches_unpruned_reference(self):
+        codes = [code_power(bcode("0", "10", "11"), 2), code_power(bcode("0", "1"), 2)]
+        codes += random_prefix_codes(40, seed=31)
+        codes += [fine for _coarse, fine in random_ud_pairs(20, seed=32)]
+        for code in codes:
+            value = kraft_sum(code)
+            reference = tuple(
+                d for d in irredundant_refinements(code) if kraft_sum(d) == value and is_ud(d).is_ud
+            )
+            assert equal_kraft_refinements(code) == reference, code
+
+    def test_cap_counts_only_admissible_unions(self):
+        # C^2 of {0, 10, 11} needs 111 live unions unpruned, 8 pruned
+        square = code_power(bcode("0", "10", "11"), 2)
+        with pytest.raises(ResourceLimitError):
+            irredundant_refinements(square, max_candidates=8)
+        assert len(equal_kraft_refinements(square, max_candidates=8)) == 3
 
 
 class TestChain:

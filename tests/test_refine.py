@@ -8,6 +8,7 @@ from codekraft import (
     Code,
     EmptyCodeError,
     ResourceLimitError,
+    Word,
     code_power,
     cover_exponent_bound,
     factorizations,
@@ -216,6 +217,24 @@ class TestIrredundantRefinements:
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             irredundant_refinements(bcode("01010101010101010101010101"), max_candidates=100)
+
+    def test_admissible_restricts_to_passing_refinements(self):
+        def at_most_two_words(blocks):
+            return len(blocks) <= 2
+
+        for coarse in binary_codes(2, 3):
+            expected = tuple(d for d in irredundant_refinements(coarse) if at_most_two_words(d))
+            assert irredundant_refinements(coarse, admissible=at_most_two_words) == expected
+
+    def test_admissible_tests_each_union_once(self):
+        tested = []
+
+        def ud(blocks):
+            tested.append(blocks)
+            return is_ud(Code(BINARY, (Word(BINARY, t) for t in blocks))).is_ud
+
+        irredundant_refinements(bcode("0", "10", "110", "111"), admissible=ud)
+        assert tested and len(tested) == len(set(tested))
 
 
 class TestCoverExponent:
