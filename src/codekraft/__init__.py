@@ -9,10 +9,8 @@ from .core import (
     Alphabet,
     Code,
     Factorization,
-    KraftValue,
     Word,
     concat,
-    make_code,
     parse_word,
 )
 from .decipher import UdVerdict, is_ud, is_ud_bruteforce
@@ -65,7 +63,6 @@ __all__ = [
     "EmptyCodeError",
     "EmptyWordError",
     "Factorization",
-    "KraftValue",
     "MissingAlphabetError",
     "MixedAlphabetsError",
     "NotRefinementError",
@@ -99,7 +96,6 @@ __all__ = [
     "is_ud_bruteforce",
     "kraft_power",
     "kraft_sum",
-    "make_code",
     "parse_code_file",
     "parse_word",
     "power_chain",

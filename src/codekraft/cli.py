@@ -9,6 +9,7 @@ files or environment variables.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -409,7 +410,10 @@ def _hasse_names(code_files: Sequence[CodeFile]) -> list[str]:
     return names
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first run_command call and reused: parse_args leaves the
+    # parser unchanged and returns a fresh Namespace every time.
     parser = argparse.ArgumentParser(
         prog="codekraft",
         description="Exact Kraft sums, unique-decipherability tests, and the refinement order on codes.",

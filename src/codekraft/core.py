@@ -1,25 +1,27 @@
 """Immutable value types: alphabets, words, codes, factorizations.
 
 All values are immutable after construction and safe to share across
-threads.  The canonical order used everywhere (code iteration, enumeration
-output, witness reporting) is shortlex: first by length, then
-lexicographically by symbol index.
+threads.  A code's factorization index (:meth:`Code.factor_index`) is a
+cache filled on first use, not at construction; two threads racing to fill
+it both compute and store equal values, so the race is harmless.  The
+canonical order used everywhere (code iteration, enumeration output,
+witness reporting) is shortlex: first by length, then lexicographically by
+symbol index.
 
-Kraft values are exact rationals; ``KraftValue`` is the stdlib
-:class:`fractions.Fraction`, which keeps numerator/denominator in lowest
-terms with arbitrary-precision integers.
+Kraft values are exact rationals: the stdlib :class:`fractions.Fraction`,
+which keeps numerator/denominator in lowest terms with arbitrary-precision
+integers.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyCodeError, EmptyWordError, MixedAlphabetsError, UnknownSymbolError
 
-KraftValue = Fraction
+IndexTuple = tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,7 +141,8 @@ class Code:
     every code).
     """
 
-    __slots__ = ("alphabet", "words", "_word_set", "_hash")
+    # ``_factor_index`` stays unset until factor_index() first fills it.
+    __slots__ = ("alphabet", "words", "_word_set", "_hash", "_factor_index")
 
     alphabet: Alphabet
     words: tuple[Word, ...]
@@ -199,6 +202,21 @@ class Code:
             raise EmptyCodeError("empty code has no minimum word length")
         return len(self.words[0])
 
+    def factor_index(self) -> tuple[dict[IndexTuple, Word], tuple[int, ...]]:
+        """The code's words keyed by their symbol-index tuples, and the
+        sorted distinct word lengths.
+
+        Built on first request and kept for the life of the code, so
+        factoring many words over one code reads one index.  The dict
+        values are the code's own :class:`Word` objects.
+        """
+        try:
+            return self._factor_index
+        except AttributeError:
+            index = ({w.indices: w for w in self.words}, tuple(sorted({len(w) for w in self.words})))
+            object.__setattr__(self, "_factor_index", index)
+            return index
+
     def without(self, word: Word) -> "Code":
         """The code with one word removed."""
         return Code(self.alphabet, (w for w in self.words if w != word))
@@ -213,11 +231,6 @@ class Code:
 def unit_code(alphabet: Alphabet) -> Code:
     """The full one-symbol code: every symbol of ``alphabet`` as a word."""
     return Code(alphabet, (Word(alphabet, (i,)) for i in range(alphabet.size)))
-
-
-def make_code(words: Iterable[Word], alphabet: Alphabet) -> Code:
-    """Build a :class:`Code` from words; duplicates collapse, order is shortlex."""
-    return Code(alphabet, words)
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import Code, Factorization, Word
+from .core import Code, Factorization, IndexTuple, Word
 from .errors import CertificateError, ResourceLimitError
 
 DEFAULT_MAX_STATES = 1_000_000
-
-IndexTuple = tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,7 +162,7 @@ def is_ud_bruteforce(code: Code, max_total_len: int) -> UdVerdict:
         return UdVerdict(True)
     r = code.alphabet.size
     maxlen = code.max_len()
-    word_set = {w.indices for w in code.words}
+    words, lengths = code.factor_index()
     # state: (last maxlen-1 symbols, counts of factorizations ending at the
     # last maxlen boundary positions, capped at 2); value: smallest prefix
     start = ((), (0,) * (maxlen - 1) + (1,))
@@ -176,8 +174,10 @@ def is_ud_bruteforce(code: Code, max_total_len: int) -> UdVerdict:
             for s in range(r):
                 appended = window + (s,)
                 total = 0
-                for length in range(1, len(appended) + 1):
-                    if counts[maxlen - length] and appended[-length:] in word_set:
+                for length in lengths:
+                    if length > len(appended):
+                        break
+                    if counts[maxlen - length] and appended[-length:] in words:
                         total += counts[maxlen - length]
                 new_count = min(total, 2)
                 word = prefix + (s,)
@@ -190,32 +190,28 @@ def is_ud_bruteforce(code: Code, max_total_len: int) -> UdVerdict:
                 new_window = appended[-(maxlen - 1) :] if maxlen > 1 else ()
                 next_frontier.setdefault((new_window, new_counts), word)
         if collisions:
-            return UdVerdict(False, _bruteforce_witness(code, min(collisions), word_set))
+            return UdVerdict(False, _bruteforce_witness(code, min(collisions)))
         if not next_frontier:
             break
         frontier = next_frontier
     return UdVerdict(True)
 
 
-def _iter_splits(t: IndexTuple, word_set: set[IndexTuple], lengths: list[int]) -> Iterator[tuple[IndexTuple, ...]]:
+def _iter_splits(t: IndexTuple, words: dict[IndexTuple, Word], lengths: tuple[int, ...]) -> Iterator[tuple[Word, ...]]:
     if not t:
         yield ()
         return
     for length in lengths:
         if length > len(t):
             break
-        head = t[:length]
-        if head in word_set:
-            for rest in _iter_splits(t[length:], word_set, lengths):
+        head = words.get(t[:length])
+        if head is not None:
+            for rest in _iter_splits(t[length:], words, lengths):
                 yield (head,) + rest
 
 
-def _bruteforce_witness(code: Code, word: IndexTuple, word_set: set[IndexTuple]):
-    lengths = sorted({len(t) for t in word_set})
-    splits = _iter_splits(word, word_set, lengths)
-    first = next(splits)
-    second = next(splits)
-    alphabet = code.alphabet
-    left = Factorization(tuple(Word(alphabet, t) for t in first))
-    right = Factorization(tuple(Word(alphabet, t) for t in second))
+def _bruteforce_witness(code: Code, word: IndexTuple):
+    splits = _iter_splits(word, *code.factor_index())
+    left = Factorization(next(splits))
+    right = Factorization(next(splits))
     return _ordered_pair(left, right)

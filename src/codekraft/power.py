@@ -13,14 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import Code, Factorization, Word
+from .core import Code, Factorization, IndexTuple, Word
 from .errors import EmptyCodeError, ResourceLimitError
 from .kraft import kraft_sum
 from .refine import is_refinement
 
 DEFAULT_MAX_POWER_WORDS = 100_000
-
-IndexTuple = tuple[int, ...]
 
 
 def _concat_sets(a: set[IndexTuple], b: set[IndexTuple]) -> set[IndexTuple]:

@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import Code, Factorization, Word
+from .core import Code, Factorization, IndexTuple, Word
 from .errors import EmptyCodeError, MixedAlphabetsError, ResourceLimitError
 
 DEFAULT_MAX_FACTORIZATIONS = 10_000
 DEFAULT_MAX_CANDIDATES = 1_000_000
-
-IndexTuple = tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,11 +49,6 @@ def _require_same_alphabet(a, b):
         raise MixedAlphabetsError("values are over different alphabets")
 
 
-def _grouped(code: Code) -> tuple[list[int], set[IndexTuple]]:
-    tuples = {w.indices for w in code.words}
-    return sorted({len(t) for t in tuples}), tuples
-
-
 def factorizations(word: Word, code: Code, max_count: int = DEFAULT_MAX_FACTORIZATIONS) -> tuple[Factorization, ...]:
     """All distinct factorizations of ``word`` into code words.
 
@@ -64,10 +57,11 @@ def factorizations(word: Word, code: Code, max_count: int = DEFAULT_MAX_FACTORIZ
     word is not a concatenation of code words.  Counts are computed by
     dynamic programming over prefix boundaries before anything is
     materialized; more than ``max_count`` factorizations raises
-    :class:`ResourceLimitError` rather than truncating.
+    :class:`ResourceLimitError` rather than truncating.  Factors are the
+    code's own words, looked up in its :meth:`Code.factor_index`.
     """
     _require_same_alphabet(word, code)
-    lengths, tuples = _grouped(code)
+    words, lengths = code.factor_index()
     idx = word.indices
     n = len(idx)
     preds: list[list[int]] = [[] for _ in range(n + 1)]
@@ -79,7 +73,7 @@ def factorizations(word: Word, code: Code, max_count: int = DEFAULT_MAX_FACTORIZ
             if length > i:
                 break
             j = i - length
-            if counts[j] and idx[j:i] in tuples:
+            if counts[j] and idx[j:i] in words:
                 preds[i].append(j)
                 total += counts[j]
         counts[i] = total
@@ -91,15 +85,14 @@ def factorizations(word: Word, code: Code, max_count: int = DEFAULT_MAX_FACTORIZ
             limit=max_count,
             count=counts[n],
         )
-    alphabet = word.alphabet
     results: list[Factorization] = []
 
-    def walk(i: int, acc: list[IndexTuple]):
+    def walk(i: int, acc: list[Word]):
         if i == 0:
-            results.append(Factorization(tuple(Word(alphabet, t) for t in reversed(acc))))
+            results.append(Factorization(tuple(reversed(acc))))
             return
         for j in preds[i]:
-            acc.append(idx[j:i])
+            acc.append(words[idx[j:i]])
             walk(j, acc)
             acc.pop()
 
@@ -113,10 +106,11 @@ def first_factorization(word: Word, code: Code) -> Optional[Factorization]:
 
     First means shortlex-minimal factor-length composition: fewest factors,
     then lexicographically smallest lengths.  Returns None when the word
-    has no factorization.  Computed directly, without enumerating.
+    has no factorization.  Computed directly, without enumerating, over the
+    code's :meth:`Code.factor_index`; the factors are the code's own words.
     """
     _require_same_alphabet(word, code)
-    lengths, tuples = _grouped(code)
+    words, lengths = code.factor_index()
     idx = word.indices
     n = len(idx)
     infinity = n + 1
@@ -127,30 +121,31 @@ def first_factorization(word: Word, code: Code) -> Optional[Factorization]:
         for length in lengths:
             if i + length > n:
                 break
-            if dist[i + length] < best and idx[i : i + length] in tuples:
+            if dist[i + length] < best and idx[i : i + length] in words:
                 best = dist[i + length]
         if best < infinity:
             dist[i] = best + 1
     if dist[0] >= infinity:
         return None
-    parts: list[IndexTuple] = []
+    parts: list[Word] = []
     i = 0
     while i < n:
         for length in lengths:
             j = i + length
-            if j <= n and dist[j] == dist[i] - 1 and idx[i:j] in tuples:
-                parts.append(idx[i:j])
+            if j <= n and dist[j] == dist[i] - 1 and idx[i:j] in words:
+                parts.append(words[idx[i:j]])
                 i = j
                 break
-    alphabet = word.alphabet
-    return Factorization(tuple(Word(alphabet, t) for t in parts))
+    return Factorization(tuple(parts))
 
 
 def is_refinement(coarse: Code, fine: Code) -> RefinementVerdict:
     """Decide whether ``fine`` refines ``coarse`` (coarse <= fine).
 
     Holds iff every coarse word factors over the fine code; one witness per
-    word is retained, the first in canonical order.
+    word is retained, the first in canonical order.  Every coarse word is
+    factored over the same ``fine.factor_index()``, built once per code; the
+    coarse code's own index is never built.
     """
     _require_same_alphabet(coarse, fine)
     witnesses = []
@@ -166,7 +161,8 @@ def is_irredundant_refinement(coarse: Code, fine: Code) -> bool:
     """True iff ``fine`` refines ``coarse`` and no proper subset does.
 
     Removing words one at a time is equivalent to the proper-subset
-    definition because adding words never destroys factorizability.
+    definition because adding words never destroys factorizability.  Each
+    ``fine.without(word)`` is a new code and builds its own index once.
     """
     if not is_refinement(coarse, fine).holds:
         return False

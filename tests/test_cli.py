@@ -18,6 +18,7 @@ from codekraft import (
     parse_code_file,
     run_command,
 )
+from codekraft import cli
 
 from helpers import bcode
 
@@ -109,6 +110,32 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert run("--help")[0] == 0
+
+
+class TestParserReuse:
+    """run_command builds its argument parser once and reuses it."""
+
+    def test_json_flag_does_not_leak_into_next_call(self):
+        status, out, _ = run("--json", "kraft", fix("prefix.code"))
+        assert status == 0 and json.loads(out)["command"] == "kraft"
+        assert run("kraft", fix("prefix.code"))[1] == "1/1 (≈ 1.00000000000)\n"
+
+    def test_usage_error_after_success(self):
+        assert run("kraft", fix("prefix.code"))[0] == 0
+        assert run("kraft")[0] == 2
+
+    def test_help_after_success(self):
+        assert run("kraft", fix("prefix.code"))[0] == 0
+        status, out, _ = run("--help")
+        assert status == 0 and out.startswith("usage: codekraft")
+
+    def test_calls_share_one_parser(self, monkeypatch):
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: built.append(build()) or built[-1])
+        run("kraft", fix("prefix.code"))
+        run("ud", fix("prefix.code"))
+        assert len(built) == 2 and built[0] is built[1]
 
 
 class TestCommands:

@@ -15,7 +15,6 @@ from codekraft import (
     UnknownSymbolError,
     Word,
     concat,
-    make_code,
     parse_word,
 )
 
@@ -112,12 +111,12 @@ class TestWord:
 
 class TestCode:
     def test_deduplication(self):
-        c = make_code([BINARY.word("0"), BINARY.word("10"), BINARY.word("10")], BINARY)
+        c = Code(BINARY, [BINARY.word("0"), BINARY.word("10"), BINARY.word("10")])
         assert c.cardinality == 2
         assert [w.text for w in c] == ["0", "10"]
 
     def test_empty_code(self):
-        c = make_code([], BINARY)
+        c = Code(BINARY, [])
         assert c.cardinality == 0
         assert list(c) == []
 
@@ -127,7 +126,7 @@ class TestCode:
 
     def test_idempotent(self):
         c = bcode("0", "10", "11")
-        assert make_code(c.words, BINARY) == c
+        assert Code(BINARY, c.words) == c
 
     def test_contains_and_without(self):
         c = bcode("0", "10")

@@ -76,6 +76,11 @@ class TestBruteForce:
         assert verdict.witness[0].concatenation.text == "010"
         assert_valid_witness(bcode("0", "01", "10"), verdict)
 
+    def test_witness_factors_are_the_codes_words(self):
+        code = bcode("0", "01", "10")
+        left, right = is_ud_bruteforce(code, 3).witness
+        assert all(any(f is w for w in code.words) for f in left.factors + right.factors)
+
     def test_singleton_never_collides(self):
         for bound in (1, 5, 30):
             assert is_ud_bruteforce(bcode("0"), bound).is_ud

@@ -128,6 +128,13 @@ class TestPowerChain:
         for previous, following in zip(chain.members, chain.members[1:]):
             assert is_refinement(following, previous).holds
 
+    def test_last_member_builds_no_factor_index(self):
+        # only fine sides of the descent check are factored over
+        chain = power_chain(bcode("00", "01", "10", "11"), 2)
+        assert [len(m) for m in chain.members] == [4, 16, 256]
+        assert all(hasattr(m, "_factor_index") for m in chain.members[:-1])
+        assert not hasattr(chain.members[-1], "_factor_index")
+
     def test_empty_base_rejected(self):
         with pytest.raises(EmptyCodeError):
             power_chain(bcode(), 1)

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from codekraft import (
     Code,
@@ -10,6 +11,7 @@ from codekraft import (
     ResourceLimitError,
     Word,
     code_power,
+    concat,
     cover_exponent_bound,
     factorizations,
     first_factorization,
@@ -39,6 +41,21 @@ def substring_closure(code):
     from codekraft import Word
 
     return Code(code.alphabet, (Word(code.alphabet, t) for t in seen))
+
+
+def reference_factorizations(word, code):
+    """Naive DP oracle: every factorization of each suffix of ``word``, built
+    right to left from membership tests on freshly built words, in the order
+    ``factorizations`` promises (factor count, then factor lengths)."""
+    idx = word.indices
+    n = len(idx)
+    tails = [[] for _ in range(n)] + [[()]]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n + 1):
+            head = Word(word.alphabet, idx[i:j])
+            if head in code:
+                tails[i].extend((head,) + rest for rest in tails[j])
+    return sorted(tails[0], key=lambda seq: (len(seq), tuple(len(w) for w in seq)))
 
 
 def brute_force_irredundant(coarse):
@@ -102,6 +119,50 @@ class TestFactorizations:
                     assert first == fs[0]
                 else:
                     assert first is None
+
+
+def is_own_word(factor, code):
+    return any(factor is w for w in code.words)
+
+
+SMALL_CODES = list(binary_codes(4, 3))
+SHORT_WORDS = binary_words_up_to(3)
+
+
+class TestFactorIndex:
+    """Factoring reads one index per code and returns the code's own words."""
+
+    def test_witness_factors_are_the_fine_codes_words(self):
+        fine = bcode("0", "10", "11")
+        verdict = is_refinement(code_power(fine, 3), fine)
+        assert verdict.holds
+        for _word, factorization in verdict.witnesses:
+            assert all(is_own_word(factor, fine) for factor in factorization.factors)
+
+    @seed(20261018)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(SMALL_CODES),
+        st.lists(st.sampled_from(SHORT_WORDS), min_size=1, max_size=4),
+        st.integers(min_value=0, max_value=4),
+    )
+    def test_matches_reference_dp(self, code, pieces, drop):
+        word = concat(pieces)
+        derived = [code]
+        if len(code):
+            first_factorization(word, code)  # fills the parent's index first
+            derived.append(code.without(code.words[drop % len(code)]))
+        for c in derived:
+            expected = reference_factorizations(word, c)
+            actual = factorizations(word, c)
+            assert [f.factors for f in actual] == expected
+            assert all(is_own_word(factor, c) for f in actual for factor in f.factors)
+            first = first_factorization(word, c)
+            if expected:
+                assert first.factors == expected[0]
+                assert all(is_own_word(factor, c) for factor in first.factors)
+            else:
+                assert first is None
 
 
 class TestIsRefinement:
