@@ -47,6 +47,7 @@ from .refine import (
     irredundant_refinements,
     is_irredundant_refinement,
     is_refinement,
+    refines,
 )
 from .cli import CodeFile, emit_code_file, export_hasse, parse_code_file, run_command
 
@@ -99,6 +100,7 @@ __all__ = [
     "parse_code_file",
     "parse_word",
     "power_chain",
+    "refines",
     "run_command",
     "word_tuples",
 ]

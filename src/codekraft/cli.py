@@ -42,7 +42,7 @@ from .props import (
     PropositionId,
     PropositionReport,
 )
-from .refine import DEFAULT_MAX_CANDIDATES, irredundant_refinements, is_refinement
+from .refine import DEFAULT_MAX_CANDIDATES, irredundant_refinements, is_refinement, refines
 
 
 @dataclass(frozen=True)
@@ -363,7 +363,7 @@ def export_hasse(code_files: Sequence[CodeFile]) -> str:
 
     def leq(i: int, j: int) -> bool:
         if (i, j) not in refines_cache:
-            refines_cache[(i, j)] = is_refinement(codes[i], codes[j]).holds
+            refines_cache[(i, j)] = refines(codes[i], codes[j])
         return refines_cache[(i, j)]
 
     for i in range(n):

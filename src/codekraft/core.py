@@ -68,12 +68,17 @@ class Word:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.indices:
+        indices = self.indices
+        if not indices:
             raise EmptyWordError("the null string is not a word")
         r = self.alphabet.size
-        for i in self.indices:
-            if not 0 <= i < r:
-                raise ValueError(f"symbol index {i} out of range for alphabet of size {r}")
+        if min(indices) < 0 or max(indices) >= r:
+            bad = next(i for i in indices if not 0 <= i < r)
+            raise ValueError(f"symbol index {bad} out of range for alphabet of size {r}")
+
+    def __hash__(self) -> int:
+        # equal words have equal indices, so this agrees with __eq__
+        return hash(self.indices)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -91,14 +96,14 @@ class Word:
     def __lt__(self, other: "Word") -> bool:
         if not isinstance(other, Word):
             return NotImplemented
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise MixedAlphabetsError("cannot order words over different alphabets")
         return self.sort_key < other.sort_key
 
     def __add__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise MixedAlphabetsError("cannot concatenate words over different alphabets")
         return Word(self.alphabet, self.indices + other.indices)
 
@@ -127,18 +132,24 @@ def concat(words: Sequence[Word]) -> Word:
     alphabet = words[0].alphabet
     out: list[int] = []
     for w in words:
-        if w.alphabet != alphabet:
+        if w.alphabet is not alphabet and w.alphabet != alphabet:
             raise MixedAlphabetsError("cannot concatenate words over different alphabets")
         out.extend(w.indices)
     return Word(alphabet, tuple(out))
 
 
+def _shortlex(word: Word) -> tuple[int, tuple[int, ...]]:
+    return (len(word.indices), word.indices)
+
+
 class Code:
     """A finite set of nonempty words over one alphabet.
 
-    Duplicates collapse; iteration is in shortlex order.  The empty code is
-    permitted (Kraft sum 0, vacuously uniquely decipherable, refined by
-    every code).
+    Duplicates collapse (the first of equal words is kept); iteration is in
+    shortlex order.  The words keep their input order until they are
+    sorted, so input that is already sorted, or nearly so, sorts in about
+    linear time.  The empty code is permitted (Kraft sum 0, vacuously
+    uniquely decipherable, refined by every code).
     """
 
     # ``_factor_index`` stays unset until factor_index() first fills it.
@@ -148,20 +159,23 @@ class Code:
     words: tuple[Word, ...]
 
     def __init__(self, alphabet: Alphabet, words: Iterable[Word] = ()):
-        seen: set[Word] = set()
+        # an insertion-ordered dict keeps the first of equal words
+        seen: dict[Word, None] = {}
         for w in words:
             if not isinstance(w, Word):
                 raise TypeError(f"expected Word, got {type(w).__name__}")
-            if w.alphabet != alphabet:
+            if w.alphabet is not alphabet and w.alphabet != alphabet:
                 raise MixedAlphabetsError(
                     f"word {w.text!r} is over alphabet {w.alphabet.symbols!r}, "
                     f"not {alphabet.symbols!r}"
                 )
-            seen.add(w)
+            seen[w] = None
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "words", tuple(sorted(seen, key=lambda w: w.sort_key)))
-        object.__setattr__(self, "_word_set", frozenset(seen))
-        object.__setattr__(self, "_hash", hash((alphabet, self.words)))
+        object.__setattr__(self, "words", tuple(sorted(seen, key=_shortlex)))
+        word_set = frozenset(seen)
+        object.__setattr__(self, "_word_set", word_set)
+        # the set's hash reuses its elements' stored hashes
+        object.__setattr__(self, "_hash", hash((alphabet, word_set)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Code is immutable")
@@ -248,7 +262,7 @@ class Factorization:
             raise EmptyWordError("a factorization needs at least one factor")
         alphabet = self.factors[0].alphabet
         for w in self.factors:
-            if w.alphabet != alphabet:
+            if w.alphabet is not alphabet and w.alphabet != alphabet:
                 raise MixedAlphabetsError("factorization mixes alphabets")
 
     @property

@@ -16,18 +16,20 @@ from typing import Iterator
 from .core import Code, Factorization, IndexTuple, Word
 from .errors import EmptyCodeError, ResourceLimitError
 from .kraft import kraft_sum
-from .refine import is_refinement
+from .refine import refines
 
 DEFAULT_MAX_POWER_WORDS = 100_000
 
 
-def _concat_sets(a: set[IndexTuple], b: set[IndexTuple]) -> set[IndexTuple]:
-    return {s + t for s in a for t in b}
+def _concat_sets(a: list[IndexTuple], b: list[IndexTuple]) -> list[IndexTuple]:
+    # product order, first occurrence kept: sorted factors give nearly sorted
+    # concatenations, which Code sorts in about linear time
+    return list(dict.fromkeys(s + t for s in a for t in b))
 
 
-def _power_tuples(base: set[IndexTuple], k: int) -> set[IndexTuple]:
+def _power_tuples(base: list[IndexTuple], k: int) -> list[IndexTuple]:
     # binary exponentiation; the concatenation-set product is associative
-    result: set[IndexTuple] | None = None
+    result: list[IndexTuple] | None = None
     while k:
         if k & 1:
             result = base if result is None else _concat_sets(result, base)
@@ -60,7 +62,7 @@ def code_power(code: Code, k: int, max_words: int = DEFAULT_MAX_POWER_WORDS) -> 
         return code
     if len(code) == 0:
         return code
-    tuples = _power_tuples({w.indices for w in code.words}, k)
+    tuples = _power_tuples([w.indices for w in code.words], k)
     alphabet = code.alphabet
     return Code(alphabet, (Word(alphabet, t) for t in tuples))
 
@@ -98,7 +100,11 @@ class PowerChain:
 
 
 def power_chain(code: Code, n: int, max_words: int = DEFAULT_MAX_POWER_WORDS) -> PowerChain:
-    """Build the chain [C, C^2, ..., C^(2^n)] by repeated squaring."""
+    """Build the chain [C, C^2, ..., C^(2^n)] by repeated squaring.
+
+    Descent is computed, not assumed: every word of each member is factored
+    over its predecessor, keeping only the verdict, no witnesses.
+    """
     if len(code) == 0:
         raise EmptyCodeError("power chains need a nonempty base code")
     if n < 0:
@@ -108,7 +114,7 @@ def power_chain(code: Code, n: int, max_words: int = DEFAULT_MAX_POWER_WORDS) ->
         members.append(code_power(members[-1], 2, max_words))
     kraft_values = tuple(kraft_sum(m) for m in members)
     descending = all(
-        previous != following and is_refinement(following, previous).holds
+        previous != following and refines(following, previous)
         for previous, following in zip(members, members[1:])
     )
     equal_kraft = len(set(kraft_values)) == 1

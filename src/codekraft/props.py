@@ -37,6 +37,7 @@ from .refine import (
     irredundant_refinements,
     is_irredundant_refinement,
     is_refinement,
+    refines,
 )
 
 
@@ -284,7 +285,7 @@ def check_equal_kraft_finiteness(
         details.append(("violated", "code is not among its own equal-Kraft refinements"))
     for i, member in enumerate(members):
         details.append((f"member_{i}", str(member)))
-        if not (is_ud(member).is_ud and is_refinement(code, member).holds and kraft_sum(member) == value):
+        if not (is_ud(member).is_ud and refines(code, member) and kraft_sum(member) == value):
             passed = False
             details.append((f"member_{i}.violated", "not a UD equal-Kraft refinement"))
     return PropositionReport(
@@ -309,7 +310,7 @@ def check_chain(chain, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> Proposit
         previous, following = members[i], members[i + 1]
         if previous == following:
             raise ChainViolationError(f"members {i} and {i + 1} are equal", index=i)
-        if not is_refinement(following, previous).holds:
+        if not refines(following, previous):
             raise ChainViolationError(
                 f"member {i} does not refine member {i + 1}", index=i
             )

@@ -45,8 +45,39 @@ class RefinementVerdict:
 
 
 def _require_same_alphabet(a, b):
-    if a.alphabet != b.alphabet:
+    if a.alphabet is not b.alphabet and a.alphabet != b.alphabet:
         raise MixedAlphabetsError("values are over different alphabets")
+
+
+def _factors(
+    indices: IndexTuple,
+    words: dict[IndexTuple, Word],
+    lengths: tuple[int, ...],
+    skip: Optional[IndexTuple] = None,
+) -> bool:
+    """Whether ``indices`` is a concatenation of keys of ``words`` other
+    than ``skip``; ``words`` and ``lengths`` are a :meth:`Code.factor_index`.
+
+    Reachability only: each prefix boundary reached is explored once, and
+    no factorization is built.
+    """
+    n = len(indices)
+    todo = [0]
+    reached = {0}
+    while todo:
+        i = todo.pop()
+        for length in lengths:
+            j = i + length
+            if j > n:
+                break
+            if j not in reached:
+                piece = indices[i:j]
+                if piece in words and piece != skip:
+                    if j == n:
+                        return True
+                    reached.add(j)
+                    todo.append(j)
+    return False
 
 
 def factorizations(word: Word, code: Code, max_count: int = DEFAULT_MAX_FACTORIZATIONS) -> tuple[Factorization, ...]:
@@ -145,7 +176,8 @@ def is_refinement(coarse: Code, fine: Code) -> RefinementVerdict:
     Holds iff every coarse word factors over the fine code; one witness per
     word is retained, the first in canonical order.  Every coarse word is
     factored over the same ``fine.factor_index()``, built once per code; the
-    coarse code's own index is never built.
+    coarse code's own index is never built.  :func:`refines` gives the same
+    verdict without building witnesses.
     """
     _require_same_alphabet(coarse, fine)
     witnesses = []
@@ -157,19 +189,34 @@ def is_refinement(coarse: Code, fine: Code) -> RefinementVerdict:
     return RefinementVerdict(True, tuple(witnesses))
 
 
+def refines(coarse: Code, fine: Code) -> bool:
+    """Whether ``fine`` refines ``coarse`` (coarse <= fine).
+
+    The verdict of :func:`is_refinement`, without witnesses: every coarse
+    word is factored over ``fine.factor_index()``, but no factorization is
+    built.
+    """
+    _require_same_alphabet(coarse, fine)
+    words, lengths = fine.factor_index()
+    return all(_factors(word.indices, words, lengths) for word in coarse.words)
+
+
 def is_irredundant_refinement(coarse: Code, fine: Code) -> bool:
     """True iff ``fine`` refines ``coarse`` and no proper subset does.
 
     Removing words one at a time is equivalent to the proper-subset
     definition because adding words never destroys factorizability.  Each
-    ``fine.without(word)`` is a new code and builds its own index once.
+    removal is a factoring over ``fine``'s own index that skips the removed
+    word, so no subset code is built.
     """
-    if not is_refinement(coarse, fine).holds:
+    if not refines(coarse, fine):
         return False
-    for word in fine.words:
-        if is_refinement(coarse, fine.without(word)).holds:
-            return False
-    return True
+    words, lengths = fine.factor_index()
+    coarse_words = [word.indices for word in coarse.words]
+    return not any(
+        all(_factors(t, words, lengths, skip=removed.indices) for t in coarse_words)
+        for removed in fine.words
+    )
 
 
 def cover_exponent_bound(coarse: Code, fine: Code) -> int:

@@ -240,6 +240,17 @@ class TestCommands:
         assert result.returncode == 1
         assert result.stdout == "not UD: 010 = 0·10 = 01·0\n"
 
+    def test_package_runs_as_module(self):
+        src = str(Path(__file__).parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "codekraft", "ud", fix("ambiguous.code")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stdout == "not UD: 010 = 0·10 = 01·0\n"
+        assert "RuntimeWarning" not in result.stderr
+
     def test_verify_non_ud_out_of_hypothesis(self):
         status, out, _ = run("verify", fix("ambiguous.code"))
         assert status == 0

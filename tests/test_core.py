@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from codekraft import (
     Alphabet,
@@ -76,6 +76,8 @@ class TestWord:
     def test_indices_validated(self):
         with pytest.raises(ValueError):
             Word(BINARY, (0, 2))
+        with pytest.raises(ValueError, match="symbol index 5 out of range"):
+            Word(BINARY, (0, 5, -1))
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyWordError):
@@ -119,6 +121,20 @@ class TestCode:
         c = Code(BINARY, [])
         assert c.cardinality == 0
         assert list(c) == []
+
+    @seed(20261018)
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from(binary_words_up_to(3)), max_size=12), st.randoms(use_true_random=False))
+    def test_input_order_and_duplicates(self, texts, rng):
+        # fresh objects, so the test can tell which of two equal words is kept
+        words = [Word(BINARY, w.indices) for w in texts]
+        rng.shuffle(words)
+        # an equal alphabet that is a different object is accepted
+        code = Code(Alphabet("01"), words)
+        assert code.words == tuple(sorted(set(words), key=lambda w: w.sort_key))
+        for kept in code.words:
+            first = next(w for w in words if w == kept)
+            assert kept is first
 
     def test_shortlex_iteration(self):
         c = bcode("11", "0")

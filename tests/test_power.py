@@ -1,8 +1,10 @@
 """Code powers, tuple streams, and power chains."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from codekraft import (
     Alphabet,
@@ -10,6 +12,7 @@ from codekraft import (
     EmptyCodeError,
     ResourceLimitError,
     code_power,
+    concat,
     is_refinement,
     is_ud,
     kraft_power,
@@ -18,7 +21,9 @@ from codekraft import (
     word_tuples,
 )
 
-from helpers import bcode, binary_codes
+from helpers import BINARY, bcode, binary_codes
+
+SMALL_CODES = list(binary_codes(4, 3))
 
 
 class TestCodePower:
@@ -41,6 +46,13 @@ class TestCodePower:
     def test_cap_on_tuple_count(self):
         with pytest.raises(ResourceLimitError):
             code_power(bcode("0", "1"), 20, max_words=1000)
+
+    @seed(20261018)
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(SMALL_CODES), st.integers(min_value=1, max_value=3))
+    def test_matches_naive_concatenations(self, code, k):
+        naive = Code(BINARY, (concat(t) for t in itertools.product(code.words, repeat=k)))
+        assert code_power(code, k) == naive
 
     def test_power_is_multiplicative(self):
         code = bcode("0", "10", "11")

@@ -1,6 +1,7 @@
 """Factorization, the refinement order, and irredundant refinements."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -19,7 +20,10 @@ from codekraft import (
     is_irredundant_refinement,
     is_refinement,
     is_ud,
+    power_chain,
+    refines,
 )
+from codekraft import cli, refine
 
 from helpers import BINARY, bcode, binary_codes, binary_words_up_to, splitter
 
@@ -165,6 +169,43 @@ class TestFactorIndex:
                 assert first is None
 
 
+@st.composite
+def refinement_pairs(draw):
+    """A small binary fine code and a coarse code of concatenations of its
+    words, sometimes with a stray word, so both verdicts occur; either code
+    may be empty."""
+    fine = draw(st.sampled_from(SMALL_CODES))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    pieces = fine.words or SHORT_WORDS
+    coarse = [concat(rng.choices(pieces, k=rng.randint(1, 3))) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.5:
+        coarse.append(rng.choice(SHORT_WORDS))
+    return Code(BINARY, coarse), fine
+
+
+class TestRefines:
+    @seed(20261018)
+    @settings(max_examples=100, deadline=None)
+    @given(refinement_pairs())
+    def test_matches_is_refinement(self, pair):
+        coarse, fine = pair
+        assert refines(coarse, fine) == is_refinement(coarse, fine).holds
+        assert refines(fine, coarse) == is_refinement(fine, coarse).holds
+
+    def test_verdict_readers_build_no_witness(self, monkeypatch):
+        def no_witnesses(word, code):
+            raise AssertionError("a witness was built where only the verdict is read")
+
+        monkeypatch.setattr(refine, "first_factorization", no_witnesses)
+        assert power_chain(bcode("00", "01", "10", "11"), 2).descending
+        parsed = [
+            cli.parse_code_file("alphabet 01\n" + "".join(w.text + "\n" for w in c))
+            for c in (bcode("0011"), bcode("00", "11"), bcode("0", "1"))
+        ]
+        dot = cli.export_hasse(parsed)
+        assert '"code0" -> "code1";' in dot and '"code1" -> "code2";' in dot
+
+
 class TestIsRefinement:
     def test_unit_code_refines_everything(self):
         verdict = is_refinement(bcode("010", "11"), bcode("0", "1"))
@@ -217,6 +258,16 @@ class TestIrredundance:
         for code in binary_codes(2, 3):
             if is_ud(code).is_ud and len(code):
                 assert is_irredundant_refinement(code, code)
+
+    @seed(20261018)
+    @settings(max_examples=100, deadline=None)
+    @given(refinement_pairs())
+    def test_matches_single_removal_reference(self, pair):
+        coarse, fine = pair
+        expected = is_refinement(coarse, fine).holds and not any(
+            is_refinement(coarse, fine.without(w)).holds for w in fine.words
+        )
+        assert is_irredundant_refinement(coarse, fine) == expected
 
     def test_single_removal_matches_subset_enumeration(self):
         coarses = [bcode("0011"), bcode("0101"), bcode("00", "11"), bcode("010")]
