@@ -38,6 +38,7 @@ from .props import (
     check_monotonicity,
     check_power_law,
     equal_kraft_refinements,
+    verify,
 )
 from .refine import (
     RefinementVerdict,
@@ -102,5 +103,6 @@ __all__ = [
     "power_chain",
     "refines",
     "run_command",
+    "verify",
     "word_tuples",
 ]

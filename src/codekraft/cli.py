@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Sequence
 
-from .core import Alphabet, Code, Factorization, Word, parse_word, unit_code
+from .core import Alphabet, Code, Factorization, Word, parse_word
 from .decipher import DEFAULT_MAX_STATES, is_ud
 from .errors import (
     ChainViolationError,
@@ -33,15 +33,7 @@ from .errors import (
 )
 from .kraft import approx_str, exact_str, kraft_sum
 from .power import DEFAULT_MAX_POWER_WORDS, code_power, power_chain
-from .props import (
-    check_chain,
-    check_equal_kraft_finiteness,
-    check_mcmillan,
-    check_monotonicity,
-    check_power_law,
-    PropositionId,
-    PropositionReport,
-)
+from .props import PropositionId, PropositionReport, verify
 from .refine import DEFAULT_MAX_CANDIDATES, irredundant_refinements, is_refinement, refines
 
 
@@ -156,6 +148,10 @@ def _report_jsonable(report: PropositionReport) -> dict:
     }
 
 
+def _cap(args, default: int) -> int:
+    return default if args.max_tuples is None else args.max_tuples
+
+
 def _cmd_kraft(args, out, err) -> int:
     parsed = _load(args.file, err)
     value = kraft_sum(parsed.code)
@@ -208,8 +204,7 @@ def _cmd_refines(args, out, err) -> int:
 
 def _cmd_irredundant(args, out, err) -> int:
     parsed = _load(args.file, err)
-    cap = args.max_tuples if args.max_tuples is not None else DEFAULT_MAX_CANDIDATES
-    refinements = irredundant_refinements(parsed.code, max_candidates=cap)
+    refinements = irredundant_refinements(parsed.code, max_candidates=_cap(args, DEFAULT_MAX_CANDIDATES))
     if args.ud_only:
         refinements = tuple(d for d in refinements if is_ud(d, max_states=args.max_states).is_ud)
     _emit(
@@ -223,8 +218,7 @@ def _cmd_irredundant(args, out, err) -> int:
 
 def _cmd_power(args, out, err) -> int:
     parsed = _load(args.file, err)
-    cap = args.max_tuples if args.max_tuples is not None else DEFAULT_MAX_POWER_WORDS
-    result = code_power(parsed.code, args.k, max_words=cap)
+    result = code_power(parsed.code, args.k, max_words=_cap(args, DEFAULT_MAX_POWER_WORDS))
     text = emit_code_file(parsed.alphabet, result)
     _emit(
         args, out, "power", [args.file], True,
@@ -237,8 +231,7 @@ def _cmd_power(args, out, err) -> int:
 
 def _cmd_chain(args, out, err) -> int:
     parsed = _load(args.file, err)
-    cap = args.max_tuples if args.max_tuples is not None else DEFAULT_MAX_POWER_WORDS
-    chain = power_chain(parsed.code, args.n, max_words=cap)
+    chain = power_chain(parsed.code, args.n, max_words=_cap(args, DEFAULT_MAX_POWER_WORDS))
     lines = []
     exact_values: dict[str, object] = {}
     for i, (member, value) in enumerate(zip(chain.members, chain.kraft_values)):
@@ -288,51 +281,15 @@ def _summarize(report: PropositionReport) -> str:
 
 def _cmd_verify(args, out, err) -> int:
     parsed = _load(args.file, err)
-    code = parsed.code
     if args.kmax < 2:
         raise ValueError(f"--kmax must be at least 2, got {args.kmax}")
-    candidate_cap = args.max_tuples if args.max_tuples is not None else DEFAULT_MAX_CANDIDATES
-    power_cap = args.max_tuples if args.max_tuples is not None else DEFAULT_MAX_POWER_WORDS
-    reports: list[PropositionReport] = []
-    notes: list[str] = []
-    reports.append(check_mcmillan(code, kmax=args.kmax))
-    reports.append(check_power_law(code, kmax=args.kmax, max_power_words=power_cap))
-    ud_flag = is_ud(code, max_states=args.max_states).is_ud
-    if not ud_flag:
-        notes.append("monotonicity: SKIPPED (code is not uniquely decipherable)")
-        notes.append("equal-kraft-finiteness: SKIPPED (code is not uniquely decipherable)")
-        notes.append("equal-kraft-chain: SKIPPED (code is not uniquely decipherable)")
-    else:
-        if len(code):
-            reports.append(
-                check_monotonicity(code, unit_code(parsed.alphabet), kmax=args.kmax, max_power_words=power_cap)
-            )
-        else:
-            notes.append("monotonicity: SKIPPED (empty code)")
-        try:
-            reports.append(check_equal_kraft_finiteness(code, max_candidates=candidate_cap))
-        except ResourceLimitError as exc:
-            notes.append(f"equal-kraft-finiteness: SKIPPED (resource limit: {exc})")
-        if len(code):
-            depth = 1 if len(code) ** 2 <= power_cap else 0
-            chain = power_chain(code, depth, max_words=power_cap)
-            if chain.equal_kraft:
-                try:
-                    reports.append(check_chain(chain.members, max_candidates=candidate_cap))
-                except ResourceLimitError as exc:
-                    notes.append(f"equal-kraft-chain: SKIPPED (resource limit: {exc})")
-            else:
-                values = ", ".join(exact_str(v) for v in chain.kraft_values)
-                notes.append(f"equal-kraft-chain: SKIPPED (power-chain Kraft values differ: {values})")
-        else:
-            notes.append("equal-kraft-chain: SKIPPED (empty code)")
+    reports, notes = verify(parsed.code, args.kmax, args.max_states,
+                            _cap(args, DEFAULT_MAX_POWER_WORDS), _cap(args, DEFAULT_MAX_CANDIDATES))
     passed = all(r.passed for r in reports)
-    lines = [_summarize(r) for r in reports]
-    lines.extend(notes)
-    lines.append(f"verify: {'PASS' if passed else 'FAIL'}")
+    lines = [*map(_summarize, reports), *notes, f"verify: {'PASS' if passed else 'FAIL'}"]
     _emit(
         args, out, "verify", [args.file], passed,
-        {"kraft_sum": kraft_sum(code), "checks": len(reports)},
+        {"kraft_sum": kraft_sum(parsed.code), "checks": len(reports)},
         {"reports": [_report_jsonable(r) for r in reports], "notes": notes},
         lines,
     )
@@ -358,18 +315,8 @@ def export_hasse(code_files: Sequence[CodeFile]) -> str:
     names = _hasse_names(code_files)
     codes = [parsed.code for parsed in code_files]
     n = len(codes)
-    below = [[False] * n for _ in range(n)]
-    refines_cache: dict[tuple[int, int], bool] = {}
-
-    def leq(i: int, j: int) -> bool:
-        if (i, j) not in refines_cache:
-            refines_cache[(i, j)] = refines(codes[i], codes[j])
-        return refines_cache[(i, j)]
-
-    for i in range(n):
-        for j in range(n):
-            if i != j and codes[i] != codes[j]:
-                below[i][j] = leq(i, j) and not leq(j, i)
+    leq = [[i != j and codes[i] != codes[j] and refines(codes[i], codes[j]) for j in range(n)] for i in range(n)]
+    below = [[leq[i][j] and not leq[j][i] for j in range(n)] for i in range(n)]
     lines = ["digraph refinement {"]
     for i, parsed in enumerate(code_files):
         value = kraft_sum(parsed.code)
@@ -488,10 +435,7 @@ def run_command(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[s
         print(f"error: {exc}", file=err)
         return 1
     except (CodeFileError, UnknownSymbolError, EmptyWordError, MixedAlphabetsError,
-            EmptyCodeError, ValueError) as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except OSError as exc:
+            EmptyCodeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
 

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Code, Word, unit_code
-from .decipher import is_ud
-from .errors import ChainViolationError, NotRefinementError
+from .decipher import DEFAULT_MAX_STATES, is_ud
+from .errors import ChainViolationError, NotRefinementError, ResourceLimitError
 from .kraft import exact_str, kraft_power, kraft_sum
-from .power import DEFAULT_MAX_POWER_WORDS, code_power
+from .power import DEFAULT_MAX_POWER_WORDS, code_power, power_chain
 from .refine import (
     DEFAULT_MAX_CANDIDATES,
     cover_exponent_bound,
@@ -237,17 +237,17 @@ def equal_kraft_refinements(code: Code, max_candidates: int = DEFAULT_MAX_CANDID
     """The finer UD codes with the same Kraft sum as ``code`` (inclusive).
 
     A finer UD code with equal Kraft sum is necessarily an irredundant
-    refinement (a redundant one would be strictly larger), so the
-    irredundant refinements filtered for unique decipherability and exact
-    Kraft equality are the whole set.  Always finite.
+    refinement (a redundant one would be strictly larger), so the UD
+    irredundant refinements filtered for exact Kraft equality are the whole
+    set.  Always finite.
 
     Every partial union S of blocks is a subset of the code D it completes
     to, so the enumeration drops S as soon as one of two laws rules D out:
     the Kraft sum grows strictly as words are added (McMillan), so
     K(S) > K(code) is final; and every subset of a UD code is UD, so a
     non-UD S is final.  ``max_candidates`` therefore counts only partial
-    unions that pass both tests.  Each returned code is still checked for
-    irredundance, exact Kraft equality and unique decipherability.
+    unions that pass both tests.  Every code the enumeration returns passed
+    the UD test as a union, so only exact Kraft equality is checked here.
     """
     if not is_ud(code).is_ud:
         raise ValueError("equal-Kraft refinement enumeration requires a UD code")
@@ -264,12 +264,9 @@ def equal_kraft_refinements(code: Code, max_candidates: int = DEFAULT_MAX_CANDID
             return False
         return is_ud(Code(alphabet, (Word(alphabet, t) for t in blocks))).is_ud
 
-    keep = [
-        candidate
-        for candidate in irredundant_refinements(code, max_candidates, admissible=admissible)
-        if kraft_sum(candidate) == value and is_ud(candidate).is_ud
-    ]
-    return tuple(sorted(keep, key=lambda c: c.sort_key))
+    # the enumeration's canonical order survives the filter
+    refinements = irredundant_refinements(code, max_candidates, admissible=admissible)
+    return tuple(candidate for candidate in refinements if kraft_sum(candidate) == value)
 
 
 def check_equal_kraft_finiteness(
@@ -329,3 +326,54 @@ def check_chain(chain, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> Proposit
         details.append((f"member_{i}.cardinality", len(member)))
         details.append((f"member_{i}.equal_kraft_refinements", len(equal_kraft_refinements(member, max_candidates))))
     return PropositionReport(PropositionId.EQUAL_KRAFT_CHAIN, True, tuple(details), tuple(parameters))
+
+
+def _check_power_chain(code: Code, max_power_words: int, max_candidates: int) -> PropositionReport | str:
+    if not len(code):
+        return "SKIPPED (empty code)"
+    depth = 1 if len(code) ** 2 <= max_power_words else 0
+    chain = power_chain(code, depth, max_words=max_power_words)
+    if not chain.equal_kraft:
+        return f"SKIPPED (power-chain Kraft values differ: {', '.join(map(exact_str, chain.kraft_values))})"
+    return check_chain(chain.members, max_candidates)
+
+
+def verify(
+    code: Code,
+    kmax: int = 3,
+    max_states: int = DEFAULT_MAX_STATES,
+    max_power_words: int = DEFAULT_MAX_POWER_WORDS,
+    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+) -> tuple[tuple[PropositionReport, ...], tuple[str, ...]]:
+    """Run the five checks on ``code``, in order; returns (reports, notes).
+
+    McMillan and the power law always run; monotonicity (against the full
+    one-symbol code), equal-Kraft finiteness and the equal-Kraft chain need
+    a UD code, decided once with ``max_states`` (that cap raises).  The
+    chain is C, C^2 when |C|^2 <= ``max_power_words``, else C alone, and is
+    checked only if its Kraft values are equal.  A check that does not run
+    leaves the note ``"<check>: SKIPPED (<reason>)"`` instead of a report:
+    not UD, empty code, unequal chain values, or a ``ResourceLimitError``,
+    whose message the note carries.  Notes count neither as pass nor fail.
+    """
+    code_is_ud = is_ud(code, max_states).is_ud
+    checks = (
+        (PropositionId.MCMILLAN, False, lambda: check_mcmillan(code, kmax)),
+        (PropositionId.POWER_LAW, False, lambda: check_power_law(code, kmax, max_power_words)),
+        (PropositionId.MONOTONICITY, True, lambda: check_monotonicity(code, unit_code(code.alphabet), kmax, max_power_words)
+         if len(code) else "SKIPPED (empty code)"),
+        (PropositionId.EQUAL_KRAFT_FINITENESS, True, lambda: check_equal_kraft_finiteness(code, max_candidates)),
+        (PropositionId.EQUAL_KRAFT_CHAIN, True, lambda: _check_power_chain(code, max_power_words, max_candidates)),
+    )
+    reports: list[PropositionReport] = []
+    notes: list[str] = []
+    for proposition, needs_ud, check in checks:
+        try:
+            outcome = check() if code_is_ud or not needs_ud else "SKIPPED (code is not uniquely decipherable)"
+        except ResourceLimitError as exc:
+            outcome = f"SKIPPED (resource limit: {exc})"
+        if isinstance(outcome, PropositionReport):
+            reports.append(outcome)
+        else:
+            notes.append(f"{proposition.value}: {outcome}")
+    return tuple(reports), tuple(notes)

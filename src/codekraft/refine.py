@@ -264,13 +264,18 @@ def irredundant_refinements(
 ) -> tuple[Code, ...]:
     """All irredundant refinements of ``coarse``, canonically ordered.
 
-    Every irredundant refinement is the union of the blocks of one
-    composition per coarse word, so the block-set unions over all
-    composition tuples cover every candidate.  Partial unions are deduped
-    and dominated ones dropped word by word: a union properly containing
-    another can only complete to a redundant refinement, while any
-    candidate it would have produced is still produced through the smaller
-    union.  The survivors are minimality-filtered and returned.
+    They are the inclusion-minimal unions of the blocks of one composition
+    per coarse word, so the minimal unions are returned untested:
+
+    * Factoring each coarse word over an irredundant refinement D gives a
+      composition tuple whose union is D; a smaller union would be a proper
+      subset of D that still refines ``coarse``.
+    * A minimal union U is irredundant: if U - {w} still refined ``coarse``,
+      some composition tuple's union would lie inside U - {w}.
+
+    Partial unions are deduped and dominated ones dropped word by word: a
+    union properly containing another completes only to supersets of the
+    other's completions, so no minimal union is lost.
 
     ``admissible``, when given, is called with a partial union as the
     frozenset of its blocks' symbol-index tuples and must be closed under
@@ -278,7 +283,8 @@ def irredundant_refinements(
     Each distinct partial union is tested once, when first formed, and
     dropped if the test fails.  Its completions are supersets and would
     fail too, and no surviving union contains a dropped one, so the result
-    is exactly the unpruned result restricted to admissible codes.
+    is exactly the unpruned result restricted to admissible codes (the
+    smaller unions above are subsets of admissible ones, hence admissible).
 
     Exceeding ``max_candidates`` live (admissible) partial unions raises
     :class:`ResourceLimitError` (cap and count reported), never truncates.
@@ -306,9 +312,8 @@ def irredundant_refinements(
                         count=len(merged),
                     )
         states = _minimal_antichain(merged)
-    candidates = [Code(alphabet, (Word(alphabet, t) for t in state)) for state in states]
-    kept = [d for d in candidates if is_irredundant_refinement(coarse, d)]
-    return tuple(sorted(kept, key=lambda c: c.sort_key))
+    minimal = [Code(alphabet, (Word(alphabet, t) for t in state)) for state in states]
+    return tuple(sorted(minimal, key=lambda c: c.sort_key))
 
 
 def _minimal_antichain(sets: set[frozenset]) -> list[frozenset]:

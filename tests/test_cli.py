@@ -108,6 +108,32 @@ class TestExitCodes:
         status, _out, err = run("--max-tuples", "100", "power", fix("prefix.code"), "-k", "20")
         assert status == 3 and "error:" in err
 
+    def test_ud_gate_cap_in_verify(self):
+        # {0, 011} has the dangling suffix 11, {0, 10, 11} has none
+        status, out, err = run("--max-states", "0", "verify", fix("fine.code"))
+        assert (status, out, err) == (3, "", "error: dangling-suffix iteration exceeded 0 states\n")
+        assert run("--max-states", "0", "verify", fix("prefix.code"))[0] == 0
+
+    def test_capped_verify_check_is_skipped(self):
+        skipped = [
+            "power-law: SKIPPED (resource limit: |code|^k = 81 exceeds the cap of 10)",
+            "monotonicity: SKIPPED (code is not uniquely decipherable)",
+            "equal-kraft-finiteness: SKIPPED (code is not uniquely decipherable)",
+            "equal-kraft-chain: SKIPPED (code is not uniquely decipherable)",
+        ]
+        status, out, err = run("--max-tuples", "10", "verify", fix("ambiguous.code"))
+        assert (status, err) == (0, "")
+        assert out.splitlines() == [
+            "mcmillan: OUT OF HYPOTHESIS (not UD, K = 1/1 recorded)", *skipped, "verify: PASS",
+        ]
+        status, out, err = run("--json", "--max-tuples", "10", "verify", fix("ambiguous.code"))
+        assert (status, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["verdict"] is True
+        assert payload["exact_values"]["checks"] == 1
+        assert [r["id"] for r in payload["witnesses"]["reports"]] == ["mcmillan"]
+        assert payload["witnesses"]["notes"] == skipped
+
     def test_help_exits_zero(self):
         assert run("--help")[0] == 0
 

@@ -1,6 +1,7 @@
 """Proposition checks: reports, assertions, and generated sweeps."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,9 +24,25 @@ from codekraft import (
     is_refinement,
     is_ud,
     kraft_sum,
+    parse_code_file,
+    power_chain,
+    verify,
 )
+from codekraft.core import unit_code
 
 from helpers import bcode, binary_codes, random_prefix_codes, random_ud_pairs
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+NOT_UD_NOTES = (
+    "monotonicity: SKIPPED (code is not uniquely decipherable)",
+    "equal-kraft-finiteness: SKIPPED (code is not uniquely decipherable)",
+    "equal-kraft-chain: SKIPPED (code is not uniquely decipherable)",
+)
+
+
+def fixture_code(name):
+    return parse_code_file((FIXTURES / name).read_bytes()).code
 
 
 class TestMcMillan:
@@ -230,6 +247,36 @@ class TestChain:
     def test_non_ud_member_rejected(self):
         with pytest.raises(ValueError):
             check_chain([bcode("0", "00")])
+
+
+class TestVerify:
+    def test_ud_code_gets_the_five_direct_reports(self):
+        code = fixture_code("prefix.code")
+        direct = (
+            check_mcmillan(code),
+            check_power_law(code),
+            check_monotonicity(code, unit_code(code.alphabet)),
+            check_equal_kraft_finiteness(code),
+            check_chain(power_chain(code, 1).members),
+        )
+        assert verify(code) == (direct, ())
+
+    def test_non_ud_code_gets_two_reports_and_three_notes(self):
+        reports, notes = verify(fixture_code("ambiguous.code"))
+        assert [r.proposition_id for r in reports] == [PropositionId.MCMILLAN, PropositionId.POWER_LAW]
+        assert notes == NOT_UD_NOTES
+
+    def test_capped_check_becomes_a_note(self):
+        code = fixture_code("ambiguous.code")
+        # the collision exponent is 4 and 3^4 = 81 power words exceed the cap
+        assert verify(code, max_power_words=10) == (
+            (check_mcmillan(code),),
+            ("power-law: SKIPPED (resource limit: |code|^k = 81 exceeds the cap of 10)", *NOT_UD_NOTES),
+        )
+
+    def test_ud_gate_cap_raises(self):
+        with pytest.raises(ResourceLimitError):
+            verify(fixture_code("fine.code"), max_states=0)
 
 
 class TestCoverInclusionOnPairs:

@@ -305,6 +305,13 @@ class TestIrredundantRefinements:
     def test_empty_code(self):
         assert irredundant_refinements(bcode()) == (bcode(),)
 
+    def test_minimal_unions_are_returned_untested(self, monkeypatch):
+        def fail(coarse, fine):
+            raise AssertionError("a minimal union was re-tested for irredundance")
+
+        monkeypatch.setattr(refine, "is_irredundant_refinement", fail)
+        assert len(irredundant_refinements(bcode("0011"))) == 7
+
     def test_every_result_is_irredundant(self):
         for coarse in (bcode("0011"), bcode("010", "11"), bcode("0", "01", "10")):
             for d in irredundant_refinements(coarse):
