@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Sequence
 
-from .core import Alphabet, Code, Factorization, Word, parse_word
+from .core import Alphabet, Code, Factorization, IndexTuple, Word, parse_word
 from .decipher import DEFAULT_MAX_STATES, is_ud
 from .errors import (
     ChainViolationError,
@@ -60,7 +60,7 @@ def parse_code_file(text: str | bytes, path: str | None = None) -> CodeFile:
     alphabet: Alphabet | None = None
     words: list[Word] = []
     warnings: list[str] = []
-    seen: set[Word] = set()
+    seen: set[IndexTuple] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -82,10 +82,10 @@ def parse_code_file(text: str | bytes, path: str | None = None) -> CodeFile:
             word = parse_word(line, alphabet)
         except UnknownSymbolError as exc:
             raise UnknownSymbolError(exc.symbol, line=lineno) from exc
-        if word in seen:
+        if word.indices in seen:
             warnings.append(f"line {lineno}: duplicate word {line!r}")
             continue
-        seen.add(word)
+        seen.add(word.indices)
         words.append(word)
     if alphabet is None:
         raise MissingAlphabetError("code file declares no alphabet")
@@ -219,12 +219,13 @@ def _cmd_irredundant(args, out, err) -> int:
 def _cmd_power(args, out, err) -> int:
     parsed = _load(args.file, err)
     result = code_power(parsed.code, args.k, max_words=_cap(args, DEFAULT_MAX_POWER_WORDS))
-    text = emit_code_file(parsed.alphabet, result)
+    texts = [w.text for w in result]
     _emit(
         args, out, "power", [args.file], True,
         {"k": args.k, "cardinality": len(result), "kraft_sum": kraft_sum(result)},
-        {"words": [w.text for w in result]},
-        text.splitlines(),
+        {"words": texts},
+        # the lines of emit_code_file
+        [f"alphabet {parsed.alphabet.symbols}", *texts],
     )
     return 0
 
@@ -275,7 +276,8 @@ def _summarize(report: PropositionReport) -> str:
     if pid is PropositionId.EQUAL_KRAFT_CHAIN:
         value = report.get("kraft_sum")
         rendered = exact_str(value) if value is not None else "-"
-        return f"equal-kraft-chain: {verdict} ({report.get('length')} members, all K = {rendered})"
+        length = report.get("length")
+        return f"equal-kraft-chain: {verdict} ({length} member{'' if length == 1 else 's'}, all K = {rendered})"
     return f"{pid.value}: {verdict}"
 
 
@@ -286,7 +288,10 @@ def _cmd_verify(args, out, err) -> int:
     reports, notes = verify(parsed.code, args.kmax, args.max_states,
                             _cap(args, DEFAULT_MAX_POWER_WORDS), _cap(args, DEFAULT_MAX_CANDIDATES))
     passed = all(r.passed for r in reports)
-    lines = [*map(_summarize, reports), *notes, f"verify: {'PASS' if passed else 'FAIL'}"]
+    # every report line and note starts "<check>:"; list them in check order
+    rank = {proposition.value: i for i, proposition in enumerate(PropositionId)}
+    lines = sorted([*map(_summarize, reports), *notes], key=lambda line: rank[line.partition(":")[0]])
+    lines.append(f"verify: {'PASS' if passed else 'FAIL'}")
     _emit(
         args, out, "verify", [args.file], passed,
         {"kraft_sum": kraft_sum(parsed.code), "checks": len(reports)},

@@ -1,10 +1,14 @@
 """Immutable value types: alphabets, words, codes, factorizations.
 
 All values are immutable after construction and safe to share across
-threads.  A code's factorization index (:meth:`Code.factor_index`) is a
-cache filled on first use, not at construction; two threads racing to fill
-it both compute and store equal values, so the race is harmless.  The
-canonical order used everywhere (code iteration, enumeration output,
+threads.  A code is held as ``Code.indices``, the sorted tuple of its
+words' symbol-index tuples; everything that only needs the symbols (Kraft
+sums, refinement and UD verdicts, powers) reads that.  Two per-code values
+are caches filled on first use, not at construction: the :class:`Word`
+objects of a code built internally from index tuples (``Code.words``), and
+the factorization index (:meth:`Code.factor_index`).  Two threads racing to
+fill either both compute and store equal values, so the race is harmless.
+The canonical order used everywhere (code iteration, enumeration output,
 witness reporting) is shortlex: first by length, then lexicographically by
 symbol index.
 
@@ -138,29 +142,41 @@ def concat(words: Sequence[Word]) -> Word:
     return Word(alphabet, tuple(out))
 
 
-def _shortlex(word: Word) -> tuple[int, tuple[int, ...]]:
-    return (len(word.indices), word.indices)
+def _trusted_words(alphabet: Alphabet, tuples: Iterable[IndexTuple]) -> tuple[Word, ...]:
+    # the tuples come from validated words over ``alphabet``: set the two
+    # slots directly instead of range-checking every symbol again
+    new, set_alphabet, set_indices = object.__new__, Word.alphabet.__set__, Word.indices.__set__
+    words = []
+    for t in tuples:
+        word = new(Word)
+        set_alphabet(word, alphabet)
+        set_indices(word, t)
+        words.append(word)
+    return tuple(words)
 
 
 class Code:
     """A finite set of nonempty words over one alphabet.
 
-    Duplicates collapse (the first of equal words is kept); iteration is in
-    shortlex order.  The words keep their input order until they are
-    sorted, so input that is already sorted, or nearly so, sorts in about
-    linear time.  The empty code is permitted (Kraft sum 0, vacuously
-    uniquely decipherable, refined by every code).
+    The code's primary form is ``indices``: the shortlex-sorted tuple of
+    its words' symbol-index tuples.  ``words`` are the matching
+    :class:`Word` objects; a code built from words keeps them (the first
+    of equal words), and a code built internally from index tuples builds
+    them on first read (two threads that race to build them store equal
+    values).  Input that is already sorted, or nearly so, sorts in about
+    linear time.  The empty code is permitted (Kraft sum 0,
+    vacuously uniquely decipherable, refined by every code).
     """
 
-    # ``_factor_index`` stays unset until factor_index() first fills it.
-    __slots__ = ("alphabet", "words", "_word_set", "_hash", "_factor_index")
+    # ``_words`` and ``_factor_index`` stay unset until first read.
+    __slots__ = ("alphabet", "indices", "_index_set", "_hash", "_words", "_factor_index")
 
     alphabet: Alphabet
-    words: tuple[Word, ...]
+    indices: tuple[IndexTuple, ...]
 
     def __init__(self, alphabet: Alphabet, words: Iterable[Word] = ()):
         # an insertion-ordered dict keeps the first of equal words
-        seen: dict[Word, None] = {}
+        seen: dict[IndexTuple, Word] = {}
         for w in words:
             if not isinstance(w, Word):
                 raise TypeError(f"expected Word, got {type(w).__name__}")
@@ -169,34 +185,65 @@ class Code:
                     f"word {w.text!r} is over alphabet {w.alphabet.symbols!r}, "
                     f"not {alphabet.symbols!r}"
                 )
-            seen[w] = None
+            seen.setdefault(w.indices, w)
+        self._fill(alphabet, seen)
+        object.__setattr__(self, "_words", tuple(map(seen.__getitem__, self.indices)))
+
+    @classmethod
+    def _from_indices(cls, alphabet: Alphabet, tuples: Iterable[IndexTuple]) -> "Code":
+        """A code of index tuples taken from validated words over
+        ``alphabet`` (concatenations, slices or subsets of them); repeated
+        tuples collapse."""
+        code = object.__new__(cls)
+        code._fill(alphabet, dict.fromkeys(tuples))
+        return code
+
+    def _fill(self, alphabet: Alphabet, distinct: Iterable[IndexTuple]) -> None:
+        # shortlex by two C-level sorts: lexicographic, then stable by length
+        indices = sorted(distinct)
+        indices.sort(key=len)
+        index_set = frozenset(indices)
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "words", tuple(sorted(seen, key=_shortlex)))
-        word_set = frozenset(seen)
-        object.__setattr__(self, "_word_set", word_set)
-        # the set's hash reuses its elements' stored hashes
-        object.__setattr__(self, "_hash", hash((alphabet, word_set)))
+        object.__setattr__(self, "indices", tuple(indices))
+        object.__setattr__(self, "_index_set", index_set)
+        # Word hashes its indices, so this is also the hash of the word set
+        object.__setattr__(self, "_hash", hash((alphabet, index_set)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Code is immutable")
 
     @property
+    def words(self) -> tuple[Word, ...]:
+        """The words, in shortlex order; built on first read when the code
+        was built from index tuples."""
+        try:
+            return self._words
+        except AttributeError:
+            words = _trusted_words(self.alphabet, self.indices)
+            object.__setattr__(self, "_words", words)
+            return words
+
+    @property
     def cardinality(self) -> int:
-        return len(self.words)
+        return len(self.indices)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.indices)
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)
 
     def __contains__(self, word: object) -> bool:
-        return word in self._word_set
+        if not isinstance(word, Word):
+            return False
+        if word.alphabet is not self.alphabet and word.alphabet != self.alphabet:
+            return False
+        return word.indices in self._index_set
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Code):
             return NotImplemented
-        return self.alphabet == other.alphabet and self.words == other.words
+        return self.alphabet == other.alphabet and self.indices == other.indices
 
     def __hash__(self) -> int:
         return self._hash
@@ -204,17 +251,17 @@ class Code:
     @property
     def sort_key(self):
         """Canonical key for ordering codes: the tuple of word keys."""
-        return tuple(w.sort_key for w in self.words)
+        return tuple((len(t), t) for t in self.indices)
 
     def max_len(self) -> int:
-        if not self.words:
+        if not self.indices:
             raise EmptyCodeError("empty code has no maximum word length")
-        return len(self.words[-1])
+        return len(self.indices[-1])
 
     def min_len(self) -> int:
-        if not self.words:
+        if not self.indices:
             raise EmptyCodeError("empty code has no minimum word length")
-        return len(self.words[0])
+        return len(self.indices[0])
 
     def factor_index(self) -> tuple[dict[IndexTuple, Word], tuple[int, ...]]:
         """The code's words keyed by their symbol-index tuples, and the
@@ -227,7 +274,7 @@ class Code:
         try:
             return self._factor_index
         except AttributeError:
-            index = ({w.indices: w for w in self.words}, tuple(sorted({len(w) for w in self.words})))
+            index = (dict(zip(self.indices, self.words)), tuple(sorted(set(map(len, self.indices)))))
             object.__setattr__(self, "_factor_index", index)
             return index
 

@@ -61,7 +61,7 @@ def is_ud(code: Code, max_states: int = DEFAULT_MAX_STATES) -> UdVerdict:
     ``max_states`` bounds the dangling-suffix universe.  The universe is
     finite for finite codes, so the bound only guards implementation bugs.
     """
-    words = [w.indices for w in code.words]
+    words = code.indices
     if len(words) <= 1:
         return UdVerdict(True)
     word_set = set(words)
@@ -133,9 +133,11 @@ def _reconstruct(code: Code, parents: dict, terminal: IndexTuple):
         if kind == "B":
             behind, ahead = ahead, behind
     behind.append(terminal)
-    alphabet = code.alphabet
-    left = Factorization(tuple(Word(alphabet, t) for t in behind))
-    right = Factorization(tuple(Word(alphabet, t) for t in ahead))
+    words, _ = code.factor_index()
+    if not all(t in words for t in (*behind, *ahead)):
+        raise CertificateError("reconstructed collision has a factor that is not a code word")
+    left = Factorization(tuple(map(words.__getitem__, behind)))
+    right = Factorization(tuple(map(words.__getitem__, ahead)))
     if left.concatenation != right.concatenation or left == right:
         raise CertificateError(f"reconstructed collision {left} / {right} is not a collision")
     return _ordered_pair(left, right)

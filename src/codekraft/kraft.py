@@ -24,7 +24,7 @@ def kraft_sum(code: Code) -> Fraction:
         return Fraction(0)
     r = code.alphabet.size
     top = code.max_len()
-    numerator = sum(r ** (top - len(w)) for w in code)
+    numerator = sum(r ** (top - len(t)) for t in code.indices)
     return Fraction(numerator, r**top)
 
 

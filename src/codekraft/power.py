@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .core import Code, Factorization, IndexTuple, Word
+from .core import Code, Factorization, IndexTuple
 from .errors import EmptyCodeError, ResourceLimitError
 from .kraft import kraft_sum
 from .refine import refines
@@ -21,21 +21,22 @@ from .refine import refines
 DEFAULT_MAX_POWER_WORDS = 100_000
 
 
-def _concat_sets(a: list[IndexTuple], b: list[IndexTuple]) -> list[IndexTuple]:
-    # product order, first occurrence kept: sorted factors give nearly sorted
-    # concatenations, which Code sorts in about linear time
-    return list(dict.fromkeys(s + t for s in a for t in b))
+def _concat(a: Sequence[IndexTuple], b: Sequence[IndexTuple]) -> list[IndexTuple]:
+    # product order: sorted factors give nearly sorted concatenations, which
+    # Code sorts in about linear time.  Repeats are left for Code to drop; a
+    # list for C^k holds |code|^k tuples, the count the cap bounds.
+    return [s + t for s in a for t in b]
 
 
-def _power_tuples(base: list[IndexTuple], k: int) -> list[IndexTuple]:
-    # binary exponentiation; the concatenation-set product is associative
-    result: list[IndexTuple] | None = None
+def _power_tuples(base: Sequence[IndexTuple], k: int) -> Sequence[IndexTuple]:
+    # binary exponentiation; concatenation of tuple lists is associative
+    result: Sequence[IndexTuple] | None = None
     while k:
         if k & 1:
-            result = base if result is None else _concat_sets(result, base)
+            result = base if result is None else _concat(result, base)
         k >>= 1
         if k:
-            base = _concat_sets(base, base)
+            base = _concat(base, base)
     assert result is not None
     return result
 
@@ -57,14 +58,13 @@ def code_power(code: Code, k: int, max_words: int = DEFAULT_MAX_POWER_WORDS) -> 
     For a UD code the cardinality is exactly ``len(code) ** k``; any
     shortfall comes from colliding concatenations.
     """
-    _check_power_cap(code, k, max_words)
     if k == 1:
+        # C^1 is the code itself: nothing is built, so nothing is capped
         return code
+    _check_power_cap(code, k, max_words)
     if len(code) == 0:
         return code
-    tuples = _power_tuples([w.indices for w in code.words], k)
-    alphabet = code.alphabet
-    return Code(alphabet, (Word(alphabet, t) for t in tuples))
+    return Code._from_indices(code.alphabet, _power_tuples(code.indices, k))
 
 
 def word_tuples(code: Code, k: int, max_tuples: int = DEFAULT_MAX_POWER_WORDS) -> Iterator[Factorization]:

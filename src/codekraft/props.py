@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Code, Word, unit_code
+from .core import Code, unit_code
 from .decipher import DEFAULT_MAX_STATES, is_ud
 from .errors import ChainViolationError, NotRefinementError, ResourceLimitError
 from .kraft import exact_str, kraft_power, kraft_sum
@@ -256,13 +256,13 @@ def equal_kraft_refinements(code: Code, max_candidates: int = DEFAULT_MAX_CANDID
     r = alphabet.size
     # blocks are no longer than maxlen(code), so K(S) <= K(code) is exact in
     # integers over the common denominator r^top
-    top = max((len(w) for w in code), default=0)
-    budget = sum(r ** (top - len(w)) for w in code)
+    top = max(map(len, code.indices), default=0)
+    budget = sum(r ** (top - len(t)) for t in code.indices)
 
     def admissible(blocks) -> bool:
         if sum(r ** (top - len(t)) for t in blocks) > budget:
             return False
-        return is_ud(Code(alphabet, (Word(alphabet, t) for t in blocks))).is_ud
+        return is_ud(Code._from_indices(alphabet, blocks)).is_ud
 
     # the enumeration's canonical order survives the filter
     refinements = irredundant_refinements(code, max_candidates, admissible=admissible)

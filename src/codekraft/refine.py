@@ -198,7 +198,7 @@ def refines(coarse: Code, fine: Code) -> bool:
     """
     _require_same_alphabet(coarse, fine)
     words, lengths = fine.factor_index()
-    return all(_factors(word.indices, words, lengths) for word in coarse.words)
+    return all(_factors(t, words, lengths) for t in coarse.indices)
 
 
 def is_irredundant_refinement(coarse: Code, fine: Code) -> bool:
@@ -212,10 +212,9 @@ def is_irredundant_refinement(coarse: Code, fine: Code) -> bool:
     if not refines(coarse, fine):
         return False
     words, lengths = fine.factor_index()
-    coarse_words = [word.indices for word in coarse.words]
     return not any(
-        all(_factors(t, words, lengths, skip=removed.indices) for t in coarse_words)
-        for removed in fine.words
+        all(_factors(t, words, lengths, skip=removed) for t in coarse.indices)
+        for removed in fine.indices
     )
 
 
@@ -312,7 +311,7 @@ def irredundant_refinements(
                         count=len(merged),
                     )
         states = _minimal_antichain(merged)
-    minimal = [Code(alphabet, (Word(alphabet, t) for t in state)) for state in states]
+    minimal = [Code._from_indices(alphabet, state) for state in states]
     return tuple(sorted(minimal, key=lambda c: c.sort_key))
 
 

@@ -134,6 +134,39 @@ class TestExitCodes:
         assert [r["id"] for r in payload["witnesses"]["reports"]] == ["mcmillan"]
         assert payload["witnesses"]["notes"] == skipped
 
+    def test_power_law_at_k_one_is_not_capped(self):
+        # |C| = 3 > 2, but k = 1 builds nothing; the chain is C alone
+        status, out, err = run("--max-tuples", "2", "verify", fix("prefix.code"))
+        assert (status, err) == (0, "")
+        assert out.splitlines() == [
+            "mcmillan: PASS (UD, K = 1/1 ≤ 1)",
+            "power-law: PASS (equality at k = 1..1)",
+            "monotonicity: PASS (m = 2, K(C) = 1/1 = K(D) = 1/1)",
+            "equal-kraft-finiteness: PASS (2 equal-Kraft refinements)",
+            "equal-kraft-chain: PASS (1 member, all K = 1/1)",
+            "verify: PASS",
+        ]
+
+    def test_verify_lines_follow_check_order(self, tmp_path):
+        path = tmp_path / "empty.code"
+        path.write_text("alphabet 01\n")
+        notes = ["monotonicity: SKIPPED (empty code)", "equal-kraft-chain: SKIPPED (empty code)"]
+        status, out, _ = run("verify", str(path))
+        assert status == 0
+        assert out.splitlines() == [
+            "mcmillan: PASS (UD, K = 0/1 ≤ 1)",
+            "power-law: PASS (equality at k = 1..3)",
+            notes[0],
+            "equal-kraft-finiteness: PASS (1 equal-Kraft refinements)",
+            notes[1],
+            "verify: PASS",
+        ]
+        # the JSON payload keeps reports and notes apart
+        payload = json.loads(run("--json", "verify", str(path))[1])
+        ids = [r["id"] for r in payload["witnesses"]["reports"]]
+        assert ids == ["mcmillan", "power-law", "equal-kraft-finiteness"]
+        assert payload["witnesses"]["notes"] == notes
+
     def test_help_exits_zero(self):
         assert run("--help")[0] == 0
 

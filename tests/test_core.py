@@ -1,6 +1,7 @@
 """Value-type behavior: parsing, ordering, validation, exact arithmetic."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,9 @@ from codekraft import (
     parse_word,
 )
 
-from helpers import BINARY, bcode, binary_words_up_to
+from helpers import BINARY, bcode, binary_codes, binary_words_up_to
+
+SMALL_CODES = list(binary_codes(4, 3))
 
 
 class TestAlphabet:
@@ -135,6 +138,30 @@ class TestCode:
         for kept in code.words:
             first = next(w for w in words if w == kept)
             assert kept is first
+
+    @seed(20261018)
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_from_indices_matches_constructor(self, shuffle_seed):
+        # every code, its index tuples shuffled and some repeated
+        rng = random.Random(shuffle_seed)
+        absent = BINARY.word("1111")
+        for code in SMALL_CODES:
+            tuples = [w.indices for w in code.words]
+            tuples += rng.choices(tuples, k=rng.randrange(3)) if tuples else []
+            rng.shuffle(tuples)
+            built = Code._from_indices(BINARY, tuples)
+            assert built == code and code == built
+            assert hash(built) == hash(code)
+            assert built.indices == code.indices
+            assert built.sort_key == code.sort_key
+            if len(code):
+                assert (built.max_len(), built.min_len()) == (code.max_len(), code.min_len())
+            assert all(w in built for w in code.words) and absent not in built
+            # nothing above needed the Word objects
+            assert not hasattr(built, "_words")
+            assert built.words == code.words
+            assert list(built) == list(code)
 
     def test_shortlex_iteration(self):
         c = bcode("11", "0")

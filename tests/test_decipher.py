@@ -2,7 +2,7 @@
 
 import pytest
 
-from codekraft import CertificateError, ResourceLimitError, is_ud, is_ud_bruteforce
+from codekraft import CertificateError, ResourceLimitError, code_power, is_ud, is_ud_bruteforce
 from codekraft.decipher import _reconstruct
 
 from helpers import bcode, binary_codes, brute_force_bound, random_prefix_codes, splitter
@@ -46,6 +46,12 @@ class TestIsUd:
     def test_state_guard(self):
         with pytest.raises(ResourceLimitError):
             is_ud(bcode("0", "01", "10"), max_states=0)
+
+    def test_witness_factors_are_the_codes_words(self):
+        # one code built from words, one whose words are built on first read
+        for code in (bcode("0", "01", "10"), code_power(bcode("0", "01", "10"), 2)):
+            left, right = is_ud(code).witness
+            assert all(any(f is w for w in code.words) for f in left.factors + right.factors)
 
     def test_corrupted_parent_map_raises_certificate_error(self):
         code = bcode("0", "01", "11")

@@ -18,6 +18,7 @@ from codekraft import (
     kraft_power,
     kraft_sum,
     power_chain,
+    refines,
     word_tuples,
 )
 
@@ -46,6 +47,12 @@ class TestCodePower:
     def test_cap_on_tuple_count(self):
         with pytest.raises(ResourceLimitError):
             code_power(bcode("0", "1"), 20, max_words=1000)
+
+    def test_first_power_is_not_capped(self):
+        code = bcode("0", "10", "11")
+        assert code_power(code, 1, max_words=1) is code
+        with pytest.raises(ResourceLimitError):
+            code_power(code, 2, max_words=1)
 
     @seed(20261018)
     @settings(max_examples=50, deadline=None)
@@ -146,6 +153,16 @@ class TestPowerChain:
         assert [len(m) for m in chain.members] == [4, 16, 256]
         assert all(hasattr(m, "_factor_index") for m in chain.members[:-1])
         assert not hasattr(chain.members[-1], "_factor_index")
+
+    def test_last_member_builds_no_words(self):
+        # the descent check and the Kraft sum read index tuples only
+        chain = power_chain(bcode("00", "01", "10", "11"), 2)
+        last = chain.members[-1]
+        assert not hasattr(last, "_words")
+        assert kraft_sum(last) == 1
+        assert refines(last, chain.members[-2])
+        assert not hasattr(last, "_words")
+        assert [w.text for w in last][:2] == ["00000000", "00000001"]
 
     def test_empty_base_rejected(self):
         with pytest.raises(EmptyCodeError):
