@@ -28,7 +28,7 @@ from .errors import (
     UnknownSymbolError,
 )
 from .kraft import approx_str, exact_str, kraft_power, kraft_sum
-from .power import PowerChain, code_power, power_chain, word_tuples
+from .power import PowerChain, code_power, power_chain
 from .props import (
     PropositionId,
     PropositionReport,
@@ -104,5 +104,4 @@ __all__ = [
     "refines",
     "run_command",
     "verify",
-    "word_tuples",
 ]

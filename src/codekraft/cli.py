@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Sequence
 
-from .core import Alphabet, Code, Factorization, IndexTuple, Word, parse_word
+from .core import Alphabet, Code, IndexTuple, Word, parse_word
 from .decipher import DEFAULT_MAX_STATES, is_ud
 from .errors import (
     ChainViolationError,
@@ -112,10 +112,6 @@ def _jsonable(value):
         return {"num": str(value.numerator), "den": str(value.denominator)}
     if isinstance(value, (bool, int, str)) or value is None:
         return value
-    if isinstance(value, (Word, Factorization)):
-        return str(value)
-    if isinstance(value, Code):
-        return [w.text for w in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -3,11 +3,12 @@
 All values are immutable after construction and safe to share across
 threads.  A code is held as ``Code.indices``, the sorted tuple of its
 words' symbol-index tuples; everything that only needs the symbols (Kraft
-sums, refinement and UD verdicts, powers) reads that.  Two per-code values
-are caches filled on first use, not at construction: the :class:`Word`
-objects of a code built internally from index tuples (``Code.words``), and
-the factorization index (:meth:`Code.factor_index`).  Two threads racing to
-fill either both compute and store equal values, so the race is harmless.
+sums, refinement and UD verdicts, powers, membership) reads that.  One
+per-code value is a cache: the factorization index
+(:meth:`Code.factor_index`), which also holds the code's :class:`Word`
+objects.  A code built from words fills it at construction; a code built
+internally from index tuples fills it on first use.  Two threads racing to
+fill it both compute and store equal values, so the race is harmless.
 The canonical order used everywhere (code iteration, enumeration output,
 witness reporting) is shortlex: first by length, then lexicographically by
 symbol index.
@@ -20,6 +21,7 @@ integers.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -142,34 +144,45 @@ def concat(words: Sequence[Word]) -> Word:
     return Word(alphabet, tuple(out))
 
 
-def _trusted_words(alphabet: Alphabet, tuples: Iterable[IndexTuple]) -> tuple[Word, ...]:
+def _shortlex(indices: IndexTuple) -> tuple[int, IndexTuple]:
+    return (len(indices), indices)
+
+
+def _factor_index(
+    indices: tuple[IndexTuple, ...], words: Iterable[Word]
+) -> tuple[dict[IndexTuple, Word], tuple[int, ...]]:
+    # ``indices`` is shortlex-sorted, so its distinct lengths come in order
+    return dict(zip(indices, words)), tuple(dict.fromkeys(map(len, indices)))
+
+
+def _trusted_words(alphabet: Alphabet, tuples: Iterable[IndexTuple]) -> Iterator[Word]:
     # the tuples come from validated words over ``alphabet``: set the two
     # slots directly instead of range-checking every symbol again
     new, set_alphabet, set_indices = object.__new__, Word.alphabet.__set__, Word.indices.__set__
-    words = []
     for t in tuples:
         word = new(Word)
         set_alphabet(word, alphabet)
         set_indices(word, t)
-        words.append(word)
-    return tuple(words)
+        yield word
 
 
 class Code:
     """A finite set of nonempty words over one alphabet.
 
     The code's primary form is ``indices``: the shortlex-sorted tuple of
-    its words' symbol-index tuples.  ``words`` are the matching
-    :class:`Word` objects; a code built from words keeps them (the first
-    of equal words), and a code built internally from index tuples builds
-    them on first read (two threads that race to build them store equal
-    values).  Input that is already sorted, or nearly so, sorts in about
-    linear time.  The empty code is permitted (Kraft sum 0,
-    vacuously uniquely decipherable, refined by every code).
+    its words' symbol-index tuples.  The only other per-code structure is
+    :meth:`factor_index`, which maps each index tuple to its :class:`Word`;
+    ``words`` and iteration read its values.  A code built from words fills
+    it at construction (keeping the first of equal words); a code built
+    internally from index tuples builds it on first read.  Input that is
+    already sorted, or nearly so, sorts in about linear time.  The empty
+    code is permitted (Kraft sum 0, vacuously uniquely decipherable,
+    refined by every code).
     """
 
-    # ``_words`` and ``_factor_index`` stay unset until first read.
-    __slots__ = ("alphabet", "indices", "_index_set", "_hash", "_words", "_factor_index")
+    # ``_factor_index`` stays unset until first read on codes built by
+    # ``_from_indices``.
+    __slots__ = ("alphabet", "indices", "_factor_index")
 
     alphabet: Alphabet
     indices: tuple[IndexTuple, ...]
@@ -187,7 +200,8 @@ class Code:
                 )
             seen.setdefault(w.indices, w)
         self._fill(alphabet, seen)
-        object.__setattr__(self, "_words", tuple(map(seen.__getitem__, self.indices)))
+        index = _factor_index(self.indices, map(seen.__getitem__, self.indices))
+        object.__setattr__(self, "_factor_index", index)
 
     @classmethod
     def _from_indices(cls, alphabet: Alphabet, tuples: Iterable[IndexTuple]) -> "Code":
@@ -202,43 +216,32 @@ class Code:
         # shortlex by two C-level sorts: lexicographic, then stable by length
         indices = sorted(distinct)
         indices.sort(key=len)
-        index_set = frozenset(indices)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "indices", tuple(indices))
-        object.__setattr__(self, "_index_set", index_set)
-        # Word hashes its indices, so this is also the hash of the word set
-        object.__setattr__(self, "_hash", hash((alphabet, index_set)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Code is immutable")
 
     @property
     def words(self) -> tuple[Word, ...]:
-        """The words, in shortlex order; built on first read when the code
-        was built from index tuples."""
-        try:
-            return self._words
-        except AttributeError:
-            words = _trusted_words(self.alphabet, self.indices)
-            object.__setattr__(self, "_words", words)
-            return words
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.indices)
+        """The words, in shortlex order: the values of :meth:`factor_index`."""
+        return tuple(self.factor_index()[0].values())
 
     def __len__(self) -> int:
         return len(self.indices)
 
     def __iter__(self) -> Iterator[Word]:
-        return iter(self.words)
+        return iter(self.factor_index()[0].values())
 
     def __contains__(self, word: object) -> bool:
+        # a binary search of ``indices``, so no Word objects are built
         if not isinstance(word, Word):
             return False
         if word.alphabet is not self.alphabet and word.alphabet != self.alphabet:
             return False
-        return word.indices in self._index_set
+        indices, t = self.indices, word.indices
+        i = bisect_left(indices, (len(t), t), key=_shortlex)
+        return i < len(indices) and indices[i] == t
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Code):
@@ -246,12 +249,13 @@ class Code:
         return self.alphabet == other.alphabet and self.indices == other.indices
 
     def __hash__(self) -> int:
-        return self._hash
+        # computed when asked: no library path hashes a code
+        return hash((self.alphabet, self.indices))
 
     @property
     def sort_key(self):
         """Canonical key for ordering codes: the tuple of word keys."""
-        return tuple((len(t), t) for t in self.indices)
+        return tuple(map(_shortlex, self.indices))
 
     def max_len(self) -> int:
         if not self.indices:
@@ -264,17 +268,18 @@ class Code:
         return len(self.indices[0])
 
     def factor_index(self) -> tuple[dict[IndexTuple, Word], tuple[int, ...]]:
-        """The code's words keyed by their symbol-index tuples, and the
-        sorted distinct word lengths.
+        """The code's words keyed by their symbol-index tuples, in shortlex
+        order, and the sorted distinct word lengths.
 
-        Built on first request and kept for the life of the code, so
-        factoring many words over one code reads one index.  The dict
-        values are the code's own :class:`Word` objects.
+        Kept for the life of the code, so factoring many words over one code
+        reads one index; a code built from index tuples builds it, and its
+        :class:`Word` objects, on first request.  The dict values are the
+        code's own words.
         """
         try:
             return self._factor_index
         except AttributeError:
-            index = (dict(zip(self.indices, self.words)), tuple(sorted(set(map(len, self.indices)))))
+            index = _factor_index(self.indices, _trusted_words(self.alphabet, self.indices))
             object.__setattr__(self, "_factor_index", index)
             return index
 

@@ -1,4 +1,4 @@
-"""Code powers, ordered word tuples, and descending power chains.
+"""Code powers and descending power chains.
 
 The k-th power of a code is the set of concatenations of k code words.
 Power chains track C, C^2, C^4, ... together with their exact Kraft
@@ -8,12 +8,11 @@ coincide is computed, not assumed (they coincide exactly when K(C) = 1).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .core import Code, Factorization, IndexTuple
+from .core import Code, IndexTuple
 from .errors import EmptyCodeError, ResourceLimitError
 from .kraft import kraft_sum
 from .refine import refines
@@ -41,17 +40,6 @@ def _power_tuples(base: Sequence[IndexTuple], k: int) -> Sequence[IndexTuple]:
     return result
 
 
-def _check_power_cap(code: Code, k: int, max_words: int):
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if len(code) ** k > max_words:
-        raise ResourceLimitError(
-            f"|code|^k = {len(code) ** k} exceeds the cap of {max_words}",
-            limit=max_words,
-            count=len(code) ** k,
-        )
-
-
 def code_power(code: Code, k: int, max_words: int = DEFAULT_MAX_POWER_WORDS) -> Code:
     """The code of all concatenations of k code words, deduplicated.
 
@@ -61,26 +49,16 @@ def code_power(code: Code, k: int, max_words: int = DEFAULT_MAX_POWER_WORDS) -> 
     if k == 1:
         # C^1 is the code itself: nothing is built, so nothing is capped
         return code
-    _check_power_cap(code, k, max_words)
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
+    count = len(code) ** k
+    if count > max_words:
+        raise ResourceLimitError(
+            f"|code|^k = {count} exceeds the cap of {max_words}", limit=max_words, count=count
+        )
     if len(code) == 0:
         return code
     return Code._from_indices(code.alphabet, _power_tuples(code.indices, k))
-
-
-def word_tuples(code: Code, k: int, max_tuples: int = DEFAULT_MAX_POWER_WORDS) -> Iterator[Factorization]:
-    """All ordered k-tuples of code words, as a stream of factorizations.
-
-    Yields ``len(code) ** k`` tuples in lexicographic order of factor
-    indices; concatenating and deduplicating them yields exactly
-    ``code_power(code, k)``.
-    """
-    _check_power_cap(code, k, max_tuples)
-
-    def generate():
-        for combo in itertools.product(code.words, repeat=k):
-            yield Factorization(combo)
-
-    return generate()
 
 
 @dataclass(frozen=True, slots=True)

@@ -231,8 +231,9 @@ def cover_exponent_bound(coarse: Code, fine: Code) -> int:
     return coarse.max_len() // fine.min_len()
 
 
-def _composition_block_sets(word: Word, max_candidates: int) -> list[frozenset[IndexTuple]]:
-    """Distinct block sets over all 2^(len-1) compositions of ``word``."""
+def _composition_block_sets(word: Word, max_candidates: int) -> set[frozenset[IndexTuple]]:
+    """Distinct block sets over all 2^(len-1) compositions of ``word``, in
+    no particular order."""
     idx = word.indices
     n = len(idx)
     total = 1 << (n - 1)
@@ -252,7 +253,7 @@ def _composition_block_sets(word: Word, max_candidates: int) -> list[frozenset[I
                 start = pos
         blocks.append(idx[start:n])
         out.add(frozenset(blocks))
-    return sorted(out, key=lambda s: sorted(s))
+    return out
 
 
 def irredundant_refinements(

@@ -185,18 +185,18 @@ def test_criterion_8_cardinality_law():
             verdict = is_ud(code)
             if verdict.is_ud:
                 for k in (2, 3):
-                    assert code_power(code, k).cardinality == len(code) ** k
+                    assert len(code_power(code, k)) == len(code) ** k
                 continue
             left, right = verdict.witness
             witness_k = len(left.factors) + len(right.factors)
             # the collision-derived exponent always shows the defect ...
-            assert code_power(code, witness_k, max_words=10**6).cardinality < len(code) ** witness_k
+            assert len(code_power(code, witness_k, max_words=10**6)) < len(code) ** witness_k
             # ... and within k <= 3 exactly when the witness is short enough
             if witness_k <= 3:
                 assert any(
-                    code_power(code, k).cardinality < len(code) ** k for k in (2, 3)
+                    len(code_power(code, k)) < len(code) ** k for k in (2, 3)
                 )
-            elif all(code_power(code, k).cardinality == len(code) ** k for k in (2, 3)):
+            elif all(len(code_power(code, k)) == len(code) ** k for k in (2, 3)):
                 literal_counterexamples.append(code)
         # short collision *words* do not force a defect at k <= 3: {0,1,001}
         # collides on the length-3 word 001 yet C^2 and C^3 are injective

@@ -244,7 +244,7 @@ class TestCommands:
         assert status == 0
         assert out.startswith("alphabet 01\n00\n")
         reparsed = parse_code_file(out)
-        assert reparsed.code.cardinality == 9
+        assert len(reparsed.code) == 9
 
     def test_chain_report(self):
         status, out, _ = run("chain", fix("prefix.code"), "-n", "1")

@@ -117,12 +117,12 @@ class TestWord:
 class TestCode:
     def test_deduplication(self):
         c = Code(BINARY, [BINARY.word("0"), BINARY.word("10"), BINARY.word("10")])
-        assert c.cardinality == 2
+        assert len(c) == 2
         assert [w.text for w in c] == ["0", "10"]
 
     def test_empty_code(self):
         c = Code(BINARY, [])
-        assert c.cardinality == 0
+        assert len(c) == 0
         assert list(c) == []
 
     @seed(20261018)
@@ -159,9 +159,27 @@ class TestCode:
                 assert (built.max_len(), built.min_len()) == (code.max_len(), code.min_len())
             assert all(w in built for w in code.words) and absent not in built
             # nothing above needed the Word objects
-            assert not hasattr(built, "_words")
+            assert not hasattr(built, "_factor_index")
             assert built.words == code.words
             assert list(built) == list(code)
+
+    def test_membership_reads_indices_only(self):
+        probes = [*binary_words_up_to(4), Alphabet("ab").word("a"), "0"]
+        for code in SMALL_CODES:
+            members = set(code.indices)
+            built = Code._from_indices(BINARY, code.indices)
+            for probe in probes:
+                expected = isinstance(probe, Word) and probe.alphabet == BINARY and probe.indices in members
+                assert (probe in code) == expected
+                assert (probe in built) == expected
+            assert not hasattr(built, "_factor_index")
+
+    def test_words_are_built_once(self):
+        built = Code._from_indices(BINARY, [(1, 1), (0,)])
+        first, second = built.words, built.words
+        assert all(a is b for a, b in zip(first, second))
+        assert [w.text for w in built] == ["0", "11"]
+        assert all(a is b for a, b in zip(built, first))
 
     def test_shortlex_iteration(self):
         c = bcode("11", "0")

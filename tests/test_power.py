@@ -1,10 +1,10 @@
-"""Code powers, tuple streams, and power chains."""
+"""Code powers and power chains."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from codekraft import (
     Alphabet,
@@ -19,7 +19,6 @@ from codekraft import (
     kraft_sum,
     power_chain,
     refines,
-    word_tuples,
 )
 
 from helpers import BINARY, bcode, binary_codes
@@ -31,7 +30,7 @@ class TestCodePower:
     def test_square_of_suffix_code(self):
         square = code_power(bcode("0", "10"), 2)
         assert [w.text for w in square] == ["00", "010", "100", "1010"]
-        assert square.cardinality == 4
+        assert len(square) == 4
 
     def test_first_power_is_identity(self):
         for code in (bcode(), bcode("0"), bcode("0", "10", "11")):
@@ -39,10 +38,10 @@ class TestCodePower:
 
     def test_collision_shrinks_power(self):
         power = code_power(bcode("0", "01", "10"), 2)
-        assert power.cardinality == 8  # 9 ordered pairs, 010 collides
+        assert len(power) == 8  # 9 ordered pairs, 010 collides
 
     def test_empty_code_power(self):
-        assert code_power(bcode(), 3).cardinality == 0
+        assert len(code_power(bcode(), 3)) == 0
 
     def test_cap_on_tuple_count(self):
         with pytest.raises(ResourceLimitError):
@@ -57,7 +56,18 @@ class TestCodePower:
     @seed(20261018)
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from(SMALL_CODES), st.integers(min_value=1, max_value=3))
+    @example(bcode("0", "01", "10"), 1)
+    @example(bcode("0", "01", "10"), 2)
+    @example(bcode("0", "01", "10"), 3)
+    @example(bcode("0", "10", "11"), 1)
+    @example(bcode("0", "10", "11"), 2)
+    @example(bcode("0", "10", "11"), 3)
+    @example(bcode("0", "00"), 1)
+    @example(bcode("0", "00"), 2)
+    @example(bcode("0", "00"), 3)
     def test_matches_naive_concatenations(self, code, k):
+        # the examples always run: every concatenation lands in the power
+        # and every power word is a concatenation, collisions included
         naive = Code(BINARY, (concat(t) for t in itertools.product(code.words, repeat=k)))
         assert code_power(code, k) == naive
 
@@ -66,39 +76,13 @@ class TestCodePower:
         assert code_power(code, 4) == code_power(code_power(code, 2), 2)
 
 
-class TestWordTuples:
-    def test_cartesian_square(self):
-        tuples = list(word_tuples(bcode("0", "10"), 2))
-        assert [str(t) for t in tuples] == ["0·0", "0·10", "10·0", "10·10"]
-
-    def test_singleton_cube(self):
-        tuples = list(word_tuples(bcode("0"), 3))
-        assert len(tuples) == 1 and str(tuples[0]) == "0·0·0"
-
-    def test_collision_pair_present(self):
-        tuples = list(word_tuples(bcode("0", "01", "10"), 2))
-        assert len(tuples) == 9
-        words = [t.concatenation for t in tuples]
-        assert len(set(words)) == 8
-
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            word_tuples(bcode("0", "1"), 30, max_tuples=100)
-
-    def test_surjectivity_onto_power(self):
-        for code in (bcode("0", "01", "10"), bcode("0", "10", "11"), bcode("0", "00")):
-            for k in (1, 2, 3):
-                via_tuples = {t.concatenation for t in word_tuples(code, k)}
-                assert via_tuples == set(code_power(code, k).words)
-
-
 class TestCardinalityAndKraftLaws:
     def test_cardinality_law_on_small_corpus(self):
         for code in binary_codes(2, 3):
             verdict = is_ud(code)
             if verdict.is_ud:
                 for k in (2, 3):
-                    assert code_power(code, k).cardinality == len(code) ** k
+                    assert len(code_power(code, k)) == len(code) ** k
 
     def test_kraft_product_law(self):
         for code in binary_codes(2, 3):
@@ -158,10 +142,10 @@ class TestPowerChain:
         # the descent check and the Kraft sum read index tuples only
         chain = power_chain(bcode("00", "01", "10", "11"), 2)
         last = chain.members[-1]
-        assert not hasattr(last, "_words")
+        assert not hasattr(last, "_factor_index")
         assert kraft_sum(last) == 1
         assert refines(last, chain.members[-2])
-        assert not hasattr(last, "_words")
+        assert not hasattr(last, "_factor_index")
         assert [w.text for w in last][:2] == ["00000000", "00000001"]
 
     def test_empty_base_rejected(self):
