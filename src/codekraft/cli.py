@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Sequence
 
-from .core import Alphabet, Code, IndexTuple, Word, parse_word
+from .core import Alphabet, Code, IndexTuple, Word, _text, parse_word
 from .decipher import DEFAULT_MAX_STATES, is_ud
 from .errors import (
     ChainViolationError,
@@ -95,7 +95,7 @@ def parse_code_file(text: str | bytes, path: str | None = None) -> CodeFile:
 def emit_code_file(alphabet: Alphabet, code: Code) -> str:
     """Canonical text for a code: alphabet line, then shortlex words."""
     lines = [f"alphabet {alphabet.symbols}"]
-    lines.extend(w.text for w in code)
+    lines.extend(_text(code.alphabet, t) for t in code.indices)
     return "\n".join(lines) + "\n"
 
 
@@ -206,7 +206,7 @@ def _cmd_irredundant(args, out, err) -> int:
     _emit(
         args, out, "irredundant", [args.file], True,
         {"count": len(refinements)},
-        {"refinements": [[w.text for w in d] for d in refinements]},
+        {"refinements": [[_text(d.alphabet, t) for t in d.indices] for d in refinements]},
         [str(d) for d in refinements],
     )
     return 0
@@ -215,7 +215,7 @@ def _cmd_irredundant(args, out, err) -> int:
 def _cmd_power(args, out, err) -> int:
     parsed = _load(args.file, err)
     result = code_power(parsed.code, args.k, max_words=_cap(args, DEFAULT_MAX_POWER_WORDS))
-    texts = [w.text for w in result]
+    texts = [_text(result.alphabet, t) for t in result.indices]
     _emit(
         args, out, "power", [args.file], True,
         {"k": args.k, "cardinality": len(result), "kraft_sum": kraft_sum(result)},

@@ -3,8 +3,8 @@
 All values are immutable after construction and safe to share across
 threads.  A code is held as ``Code.indices``, the sorted tuple of its
 words' symbol-index tuples; everything that only needs the symbols (Kraft
-sums, refinement and UD verdicts, powers, membership) reads that.  One
-per-code value is a cache: the factorization index
+sums, refinement and UD verdicts, powers, membership, printing) reads
+that.  One per-code value is a cache: the factorization index
 (:meth:`Code.factor_index`), which also holds the code's :class:`Word`
 objects.  A code built from words fills it at construction; a code built
 internally from index tuples fills it on first use.  Two threads racing to
@@ -65,6 +65,11 @@ class Alphabet:
         return f"Alphabet({self.symbols!r})"
 
 
+def _text(alphabet: Alphabet, indices: IndexTuple) -> str:
+    """The text of a word's index tuple, so codes print without Words."""
+    return "".join(map(alphabet.symbols.__getitem__, indices))
+
+
 @functools.total_ordering
 @dataclass(frozen=True, slots=True)
 class Word:
@@ -96,8 +101,7 @@ class Word:
 
     @property
     def text(self) -> str:
-        syms = self.alphabet.symbols
-        return "".join(syms[i] for i in self.indices)
+        return _text(self.alphabet, self.indices)
 
     def __lt__(self, other: "Word") -> bool:
         if not isinstance(other, Word):
@@ -288,7 +292,7 @@ class Code:
         return Code(self.alphabet, (w for w in self.words if w != word))
 
     def __str__(self) -> str:
-        return "{" + ", ".join(w.text for w in self.words) + "}"
+        return "{" + ", ".join(_text(self.alphabet, t) for t in self.indices) + "}"
 
     def __repr__(self) -> str:
         return f"Code({self.alphabet.symbols!r}, {self})"

@@ -4,6 +4,14 @@ refinements.
 A code D is finer than C (written C <= D) when every word of C is a
 concatenation of D-words.  D is an irredundant refinement of C when no
 proper subset of D is still finer than C.
+
+Refinement verdicts and witnesses factor a word by one breadth-first search
+over its prefix boundaries, each keeping the first parent it is reached
+from.  Boundaries leave a FIFO queue and are extended by word lengths in
+ascending order, so children are appended in order of (parent, length).
+By induction each level leaves the queue in lexicographic order of its
+recorded paths, and the end is first reached along the canonical
+factorization: fewest factors, then lexicographically least lengths.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import Code, Factorization, IndexTuple, Word
+from .core import Code, Factorization, IndexTuple, Word, _text
 from .errors import EmptyCodeError, MixedAlphabetsError, ResourceLimitError
 
 DEFAULT_MAX_FACTORIZATIONS = 10_000
@@ -49,35 +57,32 @@ def _require_same_alphabet(a, b):
         raise MixedAlphabetsError("values are over different alphabets")
 
 
-def _factors(
+def _first_parents(
     indices: IndexTuple,
     words: dict[IndexTuple, Word],
     lengths: tuple[int, ...],
     skip: Optional[IndexTuple] = None,
-) -> bool:
-    """Whether ``indices`` is a concatenation of keys of ``words`` other
-    than ``skip``; ``words`` and ``lengths`` are a :meth:`Code.factor_index`.
-
-    Reachability only: each prefix boundary reached is explored once, and
-    no factorization is built.
-    """
+) -> Optional[dict[int, int]]:
+    """The module's breadth-first search of ``indices`` over the keys of a
+    :meth:`Code.factor_index` other than ``skip``: the first parent of each
+    boundary reached, returned once ``len(indices)`` is reached, else None."""
     n = len(indices)
-    todo = [0]
-    reached = {0}
-    while todo:
-        i = todo.pop()
+    parents: dict[int, int] = {}
+    queue = [0]
+    # appended to while iterated: boundaries leave first in, first out
+    for i in queue:
         for length in lengths:
             j = i + length
             if j > n:
                 break
-            if j not in reached:
+            if j not in parents:
                 piece = indices[i:j]
                 if piece in words and piece != skip:
+                    parents[j] = i
                     if j == n:
-                        return True
-                    reached.add(j)
-                    todo.append(j)
-    return False
+                        return parents
+                    queue.append(j)
+    return None
 
 
 def factorizations(word: Word, code: Code, max_count: int = DEFAULT_MAX_FACTORIZATIONS) -> tuple[Factorization, ...]:
@@ -137,37 +142,23 @@ def first_factorization(word: Word, code: Code) -> Optional[Factorization]:
 
     First means shortlex-minimal factor-length composition: fewest factors,
     then lexicographically smallest lengths.  Returns None when the word
-    has no factorization.  Computed directly, without enumerating, over the
-    code's :meth:`Code.factor_index`; the factors are the code's own words.
+    has no factorization.  Read off the parents that the module's one
+    search records over the code's :meth:`Code.factor_index`, without
+    enumerating; the factors are the code's own words.
     """
     _require_same_alphabet(word, code)
     words, lengths = code.factor_index()
     idx = word.indices
-    n = len(idx)
-    infinity = n + 1
-    dist = [infinity] * (n + 1)
-    dist[n] = 0
-    for i in range(n - 1, -1, -1):
-        best = infinity
-        for length in lengths:
-            if i + length > n:
-                break
-            if dist[i + length] < best and idx[i : i + length] in words:
-                best = dist[i + length]
-        if best < infinity:
-            dist[i] = best + 1
-    if dist[0] >= infinity:
+    parents = _first_parents(idx, words, lengths)
+    if parents is None:
         return None
     parts: list[Word] = []
-    i = 0
-    while i < n:
-        for length in lengths:
-            j = i + length
-            if j <= n and dist[j] == dist[i] - 1 and idx[i:j] in words:
-                parts.append(words[idx[i:j]])
-                i = j
-                break
-    return Factorization(tuple(parts))
+    j = len(idx)
+    while j:
+        i = parents[j]
+        parts.append(words[idx[i:j]])
+        j = i
+    return Factorization(tuple(reversed(parts)))
 
 
 def is_refinement(coarse: Code, fine: Code) -> RefinementVerdict:
@@ -175,9 +166,8 @@ def is_refinement(coarse: Code, fine: Code) -> RefinementVerdict:
 
     Holds iff every coarse word factors over the fine code; one witness per
     word is retained, the first in canonical order.  Every coarse word is
-    factored over the same ``fine.factor_index()``, built once per code; the
-    coarse code's own index is never built.  :func:`refines` gives the same
-    verdict without building witnesses.
+    factored over the same ``fine.factor_index()``, built once per code.
+    :func:`refines` gives the same verdict without building witnesses.
     """
     _require_same_alphabet(coarse, fine)
     witnesses = []
@@ -193,12 +183,13 @@ def refines(coarse: Code, fine: Code) -> bool:
     """Whether ``fine`` refines ``coarse`` (coarse <= fine).
 
     The verdict of :func:`is_refinement`, without witnesses: every coarse
-    word is factored over ``fine.factor_index()``, but no factorization is
-    built.
+    word is factored over ``fine.factor_index()`` by the search behind
+    :func:`first_factorization`, keeping only whether it reaches the end of
+    the word.
     """
     _require_same_alphabet(coarse, fine)
     words, lengths = fine.factor_index()
-    return all(_factors(t, words, lengths) for t in coarse.indices)
+    return all(_first_parents(t, words, lengths) is not None for t in coarse.indices)
 
 
 def is_irredundant_refinement(coarse: Code, fine: Code) -> bool:
@@ -213,7 +204,7 @@ def is_irredundant_refinement(coarse: Code, fine: Code) -> bool:
         return False
     words, lengths = fine.factor_index()
     return not any(
-        all(_factors(t, words, lengths, skip=removed) for t in coarse.indices)
+        all(_first_parents(t, words, lengths, removed) is not None for t in coarse.indices)
         for removed in fine.indices
     )
 
@@ -231,10 +222,9 @@ def cover_exponent_bound(coarse: Code, fine: Code) -> int:
     return coarse.max_len() // fine.min_len()
 
 
-def _composition_block_sets(word: Word, max_candidates: int) -> set[frozenset[IndexTuple]]:
-    """Distinct block sets over all 2^(len-1) compositions of ``word``, in
-    no particular order."""
-    idx = word.indices
+def _composition_block_sets(idx: IndexTuple, max_candidates: int) -> set[frozenset[IndexTuple]]:
+    """Distinct block sets over all 2^(len-1) compositions of the word
+    ``idx``, in no particular order."""
     n = len(idx)
     total = 1 << (n - 1)
     if total > max_candidates:
@@ -292,8 +282,8 @@ def irredundant_refinements(
     alphabet = coarse.alphabet
     verdicts: dict[frozenset[IndexTuple], bool] = {}
     states: list[frozenset[IndexTuple]] = [frozenset()]
-    for word in coarse.words:
-        block_sets = _composition_block_sets(word, max_candidates)
+    for t in coarse.indices:
+        block_sets = _composition_block_sets(t, max_candidates)
         merged: set[frozenset[IndexTuple]] = set()
         for state in states:
             for blocks in block_sets:
@@ -307,7 +297,7 @@ def irredundant_refinements(
                 if len(merged) > max_candidates:
                     raise ResourceLimitError(
                         f"more than {max_candidates} candidate refinements while processing"
-                        f" word {word.text!r}",
+                        f" word {_text(alphabet, t)!r}",
                         limit=max_candidates,
                         count=len(merged),
                     )

@@ -246,6 +246,19 @@ class TestCommands:
         reparsed = parse_code_file(out)
         assert len(reparsed.code) == 9
 
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    @pytest.mark.parametrize("argv", [("power", fix("prefix.code"), "-k", "3"), ("irredundant", fix("prefix.code"))])
+    def test_printing_builds_no_word_index(self, argv, flags, monkeypatch):
+        # tuple-built codes print from their indices; parsed codes fill
+        # their index in __init__, so the patch leaves them alone
+        def refuse(self):
+            raise AssertionError(f"factor index built for {self.indices}")
+
+        expected = run(*flags, *argv)
+        monkeypatch.setattr(cli.Code, "factor_index", refuse)
+        assert run(*flags, *argv) == expected
+        assert expected[0] == 0
+
     def test_chain_report(self):
         status, out, _ = run("chain", fix("prefix.code"), "-n", "1")
         assert status == 0

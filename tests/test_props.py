@@ -28,9 +28,9 @@ from codekraft import (
     power_chain,
     verify,
 )
-from codekraft.core import unit_code
+from codekraft.core import Code, unit_code
 
-from helpers import bcode, binary_codes, random_prefix_codes, random_ud_pairs
+from helpers import BINARY, bcode, binary_codes, random_prefix_codes, random_ud_pairs
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -160,6 +160,20 @@ class TestMonotonicity:
         for coarse, fine in random_ud_pairs(30, seed=99):
             report = check_monotonicity(coarse, fine, kmax=2)
             assert report.passed
+
+    def test_only_the_fine_code_builds_its_words(self, monkeypatch):
+        # the powers of the coarse code are factored as index tuples
+        indexed = []
+        factor_index = Code.factor_index
+
+        def recording(self):
+            indexed.append(self)
+            return factor_index(self)
+
+        monkeypatch.setattr(Code, "factor_index", recording)
+        fine = unit_code(BINARY)
+        assert check_monotonicity(bcode("0", "10", "11"), fine).passed
+        assert indexed and all(code is fine for code in indexed)
 
 
 class TestEqualKraftRefinements:

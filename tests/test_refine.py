@@ -115,7 +115,15 @@ class TestFactorizations:
             factorizations(BINARY.word("0" * 24), bcode("0", "00"), max_count=10_000)
 
     def test_first_matches_enumeration(self):
-        for code in (bcode("0", "01", "10"), bcode("0", "00"), bcode("1", "10")):
+        codes = (
+            bcode("0", "01", "10"),
+            bcode("0", "00"),
+            bcode("1", "10"),
+            # many compositions with the same factor count
+            bcode("0", "1", "01", "10", "010"),
+            bcode("1", "01", "011", "0110"),
+        )
+        for code in codes:
             for word in binary_words_up_to(7):
                 fs = factorizations(word, code)
                 first = first_factorization(word, code)
