@@ -8,6 +8,7 @@ clearly approximate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -18,13 +19,21 @@ def kraft_sum(code: Code) -> Fraction:
     """The exact Kraft sum of ``code``; the empty code yields 0.
 
     Accumulates integer numerators over the common denominator
-    r^maxlen and reduces once.
+    r^maxlen and reduces once.  The shortlex-sorted ``indices`` hold each
+    length's words in one run, whose end a binary search finds, so the cost
+    grows with the number of distinct lengths, not of words.
     """
     if len(code) == 0:
         return Fraction(0)
     r = code.alphabet.size
     top = code.max_len()
-    numerator = sum(r ** (top - len(t)) for t in code.indices)
+    indices = code.indices
+    numerator = start = 0
+    while start < len(indices):
+        length = len(indices[start])
+        end = bisect_right(indices, length, lo=start, key=len)
+        numerator += (end - start) * r ** (top - length)
+        start = end
     return Fraction(numerator, r**top)
 
 

@@ -80,8 +80,11 @@ class PowerChain:
 def power_chain(code: Code, n: int, max_words: int = DEFAULT_MAX_POWER_WORDS) -> PowerChain:
     """Build the chain [C, C^2, ..., C^(2^n)] by repeated squaring.
 
-    Descent is computed, not assumed: every word of each member is factored
-    over its predecessor, keeping only the verdict, no witnesses.
+    Descent is computed, not assumed: :func:`refines` decides whether all
+    words of each member factor over its predecessor, keeping no witnesses.
+    It decides a member's words together, by the distinct remainders their
+    first factors leave, so C^4 over C^2 searches each remainder, a word of
+    C^2, once rather than each word of C^4.
     """
     if len(code) == 0:
         raise EmptyCodeError("power chains need a nonempty base code")

@@ -5,19 +5,31 @@ A code D is finer than C (written C <= D) when every word of C is a
 concatenation of D-words.  D is an irredundant refinement of C when no
 proper subset of D is still finer than C.
 
-Refinement verdicts and witnesses factor a word by one breadth-first search
-over its prefix boundaries, each keeping the first parent it is reached
-from.  Boundaries leave a FIFO queue and are extended by word lengths in
-ascending order, so children are appended in order of (parent, length).
-By induction each level leaves the queue in lexicographic order of its
-recorded paths, and the end is first reached along the canonical
-factorization: fewest factors, then lexicographically least lengths.
+Two searches factor words over a code.  Witnesses and factor counts need a
+canonical factorization of each word, which :func:`_first_parents` finds by
+one breadth-first search over the word's prefix boundaries, each keeping
+the first parent it is reached from.  Boundaries leave a FIFO queue and are
+extended by word lengths in ascending order, so children are appended in
+order of (parent, length).  By induction each level leaves the queue in
+lexicographic order of its recorded paths, and the end is first reached
+along the canonical factorization: fewest factors, then lexicographically
+least lengths.
+
+The verdict of :func:`refines` needs no factorization, so
+:func:`_factorable` decides a whole set of words together by their first
+factor.  Words
+share remainders: for a prefix code C, the |C|^k words of C^k cut after
+their first factor leave only the |C|^(k-1) words of C^(k-1), and each
+distinct remainder is decided once instead of once per word.  Small
+sets, and sets that share few remainders, fall back to the per-word search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import compress
+from operator import itemgetter, not_
+from typing import Callable, Optional, Sequence
 
 from .core import Code, Factorization, IndexTuple, Word, _text
 from .errors import EmptyCodeError, MixedAlphabetsError, ResourceLimitError
@@ -83,6 +95,77 @@ def _first_parents(
                         return parents
                     queue.append(j)
     return None
+
+
+# The crossover set size, below which one search per tuple beats batched
+# levels.  On whole powers C^2, C^3 and C^4 of random binary and ternary
+# prefix codes, the batched search took 1.17 times as long as per-tuple
+# searches at 8 tuples, 1.00 at 9 and 0.76 at 16.  A set whose remainders
+# do not halve pays one head pass for nothing: 1.26 times at 16 tuples,
+# 0.97 at 48, on random subsets of such powers.
+_BATCH_MIN = 16
+
+
+def _first_cut(
+    tuples: Sequence[IndexTuple], words: dict[IndexTuple, Word], lengths: tuple[int, ...]
+) -> Optional[tuple[list[bytes], tuple[IndexTuple, ...]]]:
+    """Per length, one byte per tuple saying whether its head of that length
+    is a key of ``words``, and the distinct nonempty remainders those heads
+    leave; None as soon as there are more than half as many remainders as
+    tuples."""
+    limit = len(tuples) // 2
+    hits: list[bytes] = []
+    rests: set[IndexTuple] = set()
+    for length in lengths:
+        hit = bytes(map(words.__contains__, map(itemgetter(slice(length)), tuples)))
+        rests.update(map(itemgetter(slice(length, None)), compress(tuples, hit)))
+        rests.discard(())
+        if len(rests) > limit:
+            return None
+        hits.append(hit)
+    return hits, tuple(rests)
+
+
+def _factorable(tuples: Sequence[IndexTuple], words: dict[IndexTuple, Word], lengths: tuple[int, ...]) -> bytes:
+    """One verdict per nonempty tuple: whether it is a concatenation of keys
+    of a :meth:`Code.factor_index`.
+
+    Decided for all tuples at once by their first cut, since F+ = F·F*: a
+    tuple factors iff some key is a head of it and the remainder is empty or
+    factors.  Each level tests every head against the index and streams the
+    remainders of the matching heads into one set of distinct, strictly
+    shorter tuples, which make the next level.  A level of fewer than
+    ``_BATCH_MIN`` tuples, or one whose remainders are not at most half as
+    many, is searched tuple by tuple with :func:`_first_parents`.  So each
+    level kept has at most half the tuples of the one above, and all levels
+    together at most twice the input's, none longer than its longest.  The
+    verdicts are then carried back up level by level: a tuple factors iff
+    one of its matching heads leaves a remainder that did not fail.
+    """
+    levels: list[tuple[Sequence[IndexTuple], list[bytes]]] = []
+    while len(tuples) >= _BATCH_MIN and (cut := _first_cut(tuples, words, lengths)):
+        levels.append((tuples, cut[0]))
+        tuples = cut[1]
+    verdicts = bytes(_first_parents(t, words, lengths) is not None for t in tuples)
+    for upper, hits in reversed(levels):
+        n = len(upper)
+        failed = set(compress(tuples, map(not_, verdicts)))
+        # byte i of ``good`` is 1 iff tuple i's head of this length matches
+        # and leaves a remainder that did not fail
+        found = 0
+        for length, hit in zip(lengths, hits):
+            good = int.from_bytes(hit, "little")
+            if failed:
+                at = list(compress(range(n), hit))
+                rests = map(itemgetter(slice(length, None)), map(upper.__getitem__, at))
+                bad = bytearray(n)
+                for i in compress(at, map(failed.__contains__, rests)):
+                    bad[i] = 1
+                good &= ~int.from_bytes(bad, "little")
+            found |= good
+        verdicts = found.to_bytes(n, "little")
+        tuples = upper
+    return verdicts
 
 
 def factorizations(word: Word, code: Code, max_count: int = DEFAULT_MAX_FACTORIZATIONS) -> tuple[Factorization, ...]:
@@ -182,14 +265,14 @@ def is_refinement(coarse: Code, fine: Code) -> RefinementVerdict:
 def refines(coarse: Code, fine: Code) -> bool:
     """Whether ``fine`` refines ``coarse`` (coarse <= fine).
 
-    The verdict of :func:`is_refinement`, without witnesses: every coarse
-    word is factored over ``fine.factor_index()`` by the search behind
-    :func:`first_factorization`, keeping only whether it reaches the end of
-    the word.
+    The verdict of :func:`is_refinement`, without witnesses: the coarse
+    words are decided all at once over ``fine.factor_index()`` by the
+    module's batched first-cut search, which shares the remainders that many
+    words leave after their first fine factor.
     """
     _require_same_alphabet(coarse, fine)
     words, lengths = fine.factor_index()
-    return all(_first_parents(t, words, lengths) is not None for t in coarse.indices)
+    return all(_factorable(coarse.indices, words, lengths))
 
 
 def is_irredundant_refinement(coarse: Code, fine: Code) -> bool:
@@ -198,7 +281,10 @@ def is_irredundant_refinement(coarse: Code, fine: Code) -> bool:
     Removing words one at a time is equivalent to the proper-subset
     definition because adding words never destroys factorizability.  Each
     removal is a factoring over ``fine``'s own index that skips the removed
-    word, so no subset code is built.
+    word, so no subset code is built.  A removal usually leaves an early
+    coarse word without a factorization, so the removals search the coarse
+    words one at a time and stop at the first that fails, where the batched
+    search behind :func:`refines` would decide every word.
     """
     if not refines(coarse, fine):
         return False

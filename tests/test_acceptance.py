@@ -228,6 +228,8 @@ GOLDEN_CASES = [
     ("chain_prefix", ["chain", "fixtures/prefix.code", "-n", "2"], 0),
     ("chain_ambiguous", ["chain", "fixtures/ambiguous.code", "-n", "2"], 0),
     ("chain_single", ["chain", "fixtures/single.code", "-n", "2"], 0),
+    # {0,1}^4: the descent check decides C^4 over C^2 by the batched search
+    ("chain_block4", ["chain", "fixtures/block4.code", "-n", "2"], 0),
     ("verify_prefix", ["verify", "fixtures/prefix.code"], 0),
     ("verify_ambiguous", ["verify", "fixtures/ambiguous.code"], 0),
     ("verify_single", ["verify", "fixtures/single.code"], 0),

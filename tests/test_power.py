@@ -20,6 +20,7 @@ from codekraft import (
     power_chain,
     refines,
 )
+from codekraft import power
 
 from helpers import BINARY, bcode, binary_codes
 
@@ -146,6 +147,11 @@ class TestPowerChain:
         assert refines(last, chain.members[-2])
         assert not hasattr(last, "_factor_index")
         assert [w.text for w in last][:2] == ["00000000", "00000001"]
+
+    def test_descent_is_computed(self, monkeypatch):
+        # a chain that would descend reads False once refinement is denied
+        monkeypatch.setattr(power, "refines", lambda coarse, fine: False)
+        assert not power_chain(bcode("00", "01", "10", "11"), 2).descending
 
     def test_empty_base_rejected(self):
         with pytest.raises(EmptyCodeError):

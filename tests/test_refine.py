@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from codekraft import (
+    Alphabet,
     Code,
     EmptyCodeError,
     ResourceLimitError,
@@ -25,7 +26,9 @@ from codekraft import (
 )
 from codekraft import cli, refine
 
-from helpers import BINARY, bcode, binary_codes, binary_words_up_to, splitter
+from helpers import BINARY, bcode, binary_codes, binary_words_up_to, code_over, splitter
+
+TERNARY = Alphabet("012")
 
 
 def all_subsets(code):
@@ -191,6 +194,58 @@ def refinement_pairs(draw):
     return Code(BINARY, coarse), fine
 
 
+@st.composite
+def power_refinement_pairs(draw):
+    """A power C^k of a random small binary or ternary code with at least as
+    many words as the batched search's crossover, sometimes with planted
+    words that do not factor, and a fine code: C, C^2, the unit code or a
+    random code of short words."""
+    alphabet = draw(st.sampled_from((BINARY, TERNARY)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+
+    def words(count, max_len):
+        return [
+            Word(alphabet, tuple(rng.randrange(alphabet.size) for _ in range(rng.randint(1, max_len))))
+            for _ in range(count)
+        ]
+
+    base = Code(alphabet, words(rng.randint(2, 5), 3))
+    while len(base) < 2:
+        base = Code(alphabet, words(3, 3))
+    k = 2
+    while len(base) ** k < refine._BATCH_MIN:
+        k += 1
+    coarse = code_power(base, k + rng.randint(0, 1))
+    fine = rng.choice(
+        (base, code_power(base, 2), Code(alphabet, words(alphabet.size, 1)), Code(alphabet, words(4, 2)))
+    )
+    if rng.random() < 0.5:
+        planted = [w for w in words(3, 8) if first_factorization(w, fine) is None]
+        coarse = Code(alphabet, list(coarse) + planted)
+    return coarse, fine
+
+
+def per_word_verdicts(coarse, fine):
+    """The reference: one canonical factoring search per coarse word."""
+    return [first_factorization(w, fine) is not None for w in coarse]
+
+
+@pytest.fixture
+def batched_levels(monkeypatch):
+    """The outcome of each first cut the batched search makes: True when it
+    went on to the next level, False when it searched the level per word."""
+    outcomes = []
+    first_cut = refine._first_cut
+
+    def recording(*args):
+        cut = first_cut(*args)
+        outcomes.append(cut is not None)
+        return cut
+
+    monkeypatch.setattr(refine, "_first_cut", recording)
+    return outcomes
+
+
 class TestRefines:
     @seed(20261018)
     @settings(max_examples=100, deadline=None)
@@ -199,6 +254,40 @@ class TestRefines:
         coarse, fine = pair
         assert refines(coarse, fine) == is_refinement(coarse, fine).holds
         assert refines(fine, coarse) == is_refinement(fine, coarse).holds
+
+    @seed(20261019)
+    @settings(max_examples=150, deadline=None)
+    @given(power_refinement_pairs())
+    def test_batched_search_matches_per_word_search(self, pair):
+        coarse, fine = pair
+        expected = per_word_verdicts(coarse, fine)
+        words, lengths = fine.factor_index()
+        assert list(refine._factorable(coarse.indices, words, lengths)) == expected
+        assert refines(coarse, fine) == all(expected)
+
+    def test_longer_head_after_failing_remainder(self, batched_levels):
+        # 0122 = 01·22, although the head 0 leaves 122, which does not factor
+        fine = code_over(TERNARY, "0", "01", "21", "22")
+        coarse = Code(TERNARY, list(code_power(code_over(TERNARY, "0", "21", "22"), 4)) + [TERNARY.word("0122")])
+        assert refines(coarse, fine) and all(per_word_verdicts(coarse, fine))
+        assert batched_levels[0]
+
+    def test_only_last_word_fails(self, batched_levels):
+        fine = bcode("0", "10", "11")
+        coarse = Code(BINARY, list(code_power(fine, 3)) + [BINARY.word("1111111")])
+        words, lengths = fine.factor_index()
+        assert list(refine._factorable(coarse.indices, words, lengths)) == [True] * 27 + [False]
+        assert not refines(coarse, fine)
+        assert batched_levels[0]
+
+    @pytest.mark.parametrize("extra", [(), ("1",), ("00",), ("110",), ("0110",)])
+    def test_irredundance_of_large_coarse_code(self, extra):
+        fine = bcode("0", "10", "11", *extra)
+        coarse = code_power(bcode("0", "10", "11"), 3)
+        expected = all(per_word_verdicts(coarse, fine)) and not any(
+            all(per_word_verdicts(coarse, fine.without(w))) for w in fine
+        )
+        assert is_irredundant_refinement(coarse, fine) == expected == (not extra)
 
     def test_verdict_readers_build_no_witness(self, monkeypatch):
         def no_witnesses(word, code):
