@@ -17,18 +17,19 @@ least lengths.
 
 The verdict of :func:`refines` needs no factorization, so
 :func:`_factorable` decides a whole set of words together by their first
-factor.  Words
-share remainders: for a prefix code C, the |C|^k words of C^k cut after
-their first factor leave only the |C|^(k-1) words of C^(k-1), and each
-distinct remainder is decided once instead of once per word.  Small
-sets, and sets that share few remainders, fall back to the per-word search.
+factor.  Words share remainders: for a prefix code C, the |C|^k words of
+C^k cut after their first factor leave only the |C|^(k-1) words of
+C^(k-1), and each distinct remainder is decided once instead of once per
+word.  Small sets, and sets that share few remainders, fall back to the
+per-word search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
-from operator import itemgetter, not_
+from operator import itemgetter, not_, or_
 from typing import Callable, Optional, Sequence
 
 from .core import Code, Factorization, IndexTuple, Word, _text
@@ -99,54 +100,71 @@ def _first_parents(
 
 # The crossover set size, below which one search per tuple beats batched
 # levels.  On whole powers C^2, C^3 and C^4 of random binary and ternary
-# prefix codes, the batched search took 1.17 times as long as per-tuple
-# searches at 8 tuples, 1.00 at 9 and 0.76 at 16.  A set whose remainders
-# do not halve pays one head pass for nothing: 1.26 times at 16 tuples,
-# 0.97 at 48, on random subsets of such powers.
+# prefix codes, the batched search took 1.15 times as long as per-tuple
+# searches at 9 tuples and 0.84-0.91 at 16; on C^2 over C for the 4-word
+# codes {0,10,110,111} and {00,01,10,11}, 0.46-0.90.  A set whose
+# remainders do not halve pays the head passes for nothing: 1.39 times at
+# 16 tuples, 1.07 at 48, on random subsets of such powers.
 _BATCH_MIN = 16
 
 
-def _first_cut(
-    tuples: Sequence[IndexTuple], words: dict[IndexTuple, Word], lengths: tuple[int, ...]
-) -> Optional[tuple[list[bytes], tuple[IndexTuple, ...]]]:
-    """Per length, one byte per tuple saying whether its head of that length
-    is a key of ``words``, and the distinct nonempty remainders those heads
-    leave; None as soon as there are more than half as many remainders as
-    tuples."""
+def _remainders(
+    tuples: Sequence[IndexTuple], hits: list[bytes], lengths: tuple[int, ...]
+) -> Optional[tuple[IndexTuple, ...]]:
+    """The distinct nonempty remainders that the matching heads leave, one
+    byte of ``hits`` per length and tuple; None as soon as there are more
+    than half as many remainders as tuples."""
     limit = len(tuples) // 2
-    hits: list[bytes] = []
     rests: set[IndexTuple] = set()
-    for length in lengths:
-        hit = bytes(map(words.__contains__, map(itemgetter(slice(length)), tuples)))
+    for length, hit in zip(lengths, hits):
         rests.update(map(itemgetter(slice(length, None)), compress(tuples, hit)))
         rests.discard(())
         if len(rests) > limit:
             return None
-        hits.append(hit)
-    return hits, tuple(rests)
+    return tuple(rests)
 
 
-def _factorable(tuples: Sequence[IndexTuple], words: dict[IndexTuple, Word], lengths: tuple[int, ...]) -> bytes:
+def _factorable(
+    tuples: Sequence[IndexTuple], words: dict[IndexTuple, Word], lengths: tuple[int, ...], whole: bool = False
+) -> bytes:
     """One verdict per nonempty tuple: whether it is a concatenation of keys
     of a :meth:`Code.factor_index`.
 
     Decided for all tuples at once by their first cut, since F+ = F·F*: a
     tuple factors iff some key is a head of it and the remainder is empty or
-    factors.  Each level tests every head against the index and streams the
-    remainders of the matching heads into one set of distinct, strictly
-    shorter tuples, which make the next level.  A level of fewer than
-    ``_BATCH_MIN`` tuples, or one whose remainders are not at most half as
-    many, is searched tuple by tuple with :func:`_first_parents`.  So each
-    level kept has at most half the tuples of the one above, and all levels
-    together at most twice the input's, none longer than its longest.  The
-    verdicts are then carried back up level by level: a tuple factors iff
-    one of its matching heads leaves a remainder that did not fail.
+    factors.  Each level tests every head against the index, one byte per
+    length and tuple, and streams the remainders of the matching heads into
+    one set of distinct, strictly shorter tuples, which make the next level.
+    A level of fewer than ``_BATCH_MIN`` tuples, or one whose remainders are
+    not at most half as many, is searched tuple by tuple with
+    :func:`_first_parents`.  So each level kept has at most half the tuples
+    of the one above, and all levels together at most twice the input's,
+    none longer than its longest.  The verdicts are then carried back up
+    level by level: a tuple factors iff one of its matching heads leaves a
+    remainder that did not fail.
+
+    With ``whole``, only whether every tuple factors is asked, and the
+    result is one zero byte as soon as a tuple is known to fail: at the
+    first failure of a top level searched tuple by tuple, or when a tuple
+    of the top level has no head of any length, before any remainder is
+    built.
     """
     levels: list[tuple[Sequence[IndexTuple], list[bytes]]] = []
-    while len(tuples) >= _BATCH_MIN and (cut := _first_cut(tuples, words, lengths)):
-        levels.append((tuples, cut[0]))
-        tuples = cut[1]
-    verdicts = bytes(_first_parents(t, words, lengths) is not None for t in tuples)
+    while len(tuples) >= _BATCH_MIN:
+        hits = [bytes(map(words.__contains__, map(itemgetter(slice(length)), tuples))) for length in lengths]
+        if whole and not levels:
+            heads = reduce(or_, (int.from_bytes(hit, "little") for hit in hits))
+            if 0 in heads.to_bytes(len(tuples), "little"):
+                return b"\0"
+        rests = _remainders(tuples, hits, lengths)
+        if rests is None:
+            break
+        levels.append((tuples, hits))
+        tuples = rests
+    searched = (_first_parents(t, words, lengths) is not None for t in tuples)
+    if whole and not levels:
+        return bytes([all(searched)])
+    verdicts = bytes(searched)
     for upper, hits in reversed(levels):
         n = len(upper)
         failed = set(compress(tuples, map(not_, verdicts)))
@@ -268,11 +286,12 @@ def refines(coarse: Code, fine: Code) -> bool:
     The verdict of :func:`is_refinement`, without witnesses: the coarse
     words are decided all at once over ``fine.factor_index()`` by the
     module's batched first-cut search, which shares the remainders that many
-    words leave after their first fine factor.
+    words leave after their first fine factor.  It stops early when a coarse
+    word has no fine head at all.
     """
     _require_same_alphabet(coarse, fine)
     words, lengths = fine.factor_index()
-    return all(_factorable(coarse.indices, words, lengths))
+    return all(_factorable(coarse.indices, words, lengths, whole=True))
 
 
 def is_irredundant_refinement(coarse: Code, fine: Code) -> bool:

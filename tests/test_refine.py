@@ -235,14 +235,14 @@ def batched_levels(monkeypatch):
     """The outcome of each first cut the batched search makes: True when it
     went on to the next level, False when it searched the level per word."""
     outcomes = []
-    first_cut = refine._first_cut
+    remainders = refine._remainders
 
     def recording(*args):
-        cut = first_cut(*args)
-        outcomes.append(cut is not None)
-        return cut
+        rests = remainders(*args)
+        outcomes.append(rests is not None)
+        return rests
 
-    monkeypatch.setattr(refine, "_first_cut", recording)
+    monkeypatch.setattr(refine, "_remainders", recording)
     return outcomes
 
 
@@ -279,6 +279,36 @@ class TestRefines:
         assert list(refine._factorable(coarse.indices, words, lengths)) == [True] * 27 + [False]
         assert not refines(coarse, fine)
         assert batched_levels[0]
+
+    def test_word_without_head_ends_whole_verdict(self, batched_levels):
+        # the words of C^3 that begin with 11 have no head over {0, 10}
+        fine = bcode("0", "10")
+        coarse = code_power(bcode("0", "10", "11"), 3)
+        words, lengths = fine.factor_index()
+        assert list(refine._factorable(coarse.indices, words, lengths)) == per_word_verdicts(coarse, fine)
+        assert batched_levels
+        batched_levels.clear()
+        assert not refines(coarse, fine)
+        assert batched_levels == []
+
+    def test_small_set_stops_at_first_failing_word(self, monkeypatch):
+        searched = []
+        first_parents = refine._first_parents
+        monkeypatch.setattr(refine, "_first_parents", lambda t, *args: searched.append(t) or first_parents(t, *args))
+        assert not refines(bcode("1", "00", "01"), bcode("0"))
+        assert searched == [(1,)]
+
+    def test_large_failing_refinement(self):
+        block4 = code_power(bcode("0", "1"), 4)
+        fine = code_power(block4, 2)
+        coarse = code_power(fine, 2)
+        assert refines(coarse, fine)
+        for dropped in (fine.words[0], fine.words[-1]):
+            assert not refines(coarse, fine.without(dropped))
+        # every word has a head, but 0^8 1^8 leaves the dropped word 1^8
+        fine = fine.without(BINARY.word("1" * 8))
+        coarse = Code(BINARY, list(code_power(fine, 2)) + [BINARY.word("0" * 8 + "1" * 8)])
+        assert not refines(coarse, fine)
 
     @pytest.mark.parametrize("extra", [(), ("1",), ("00",), ("110",), ("0110",)])
     def test_irredundance_of_large_coarse_code(self, extra):
