@@ -143,11 +143,11 @@ def _factorable(
     level by level: a tuple factors iff one of its matching heads leaves a
     remainder that did not fail.
 
-    With ``whole``, only whether every tuple factors is asked, and the
-    result is one zero byte as soon as a tuple is known to fail: at the
-    first failure of a top level searched tuple by tuple, or when a tuple
-    of the top level has no head of any length, before any remainder is
-    built.
+    With ``whole``, only whether every tuple factors is asked, and only
+    ``all()`` of the result means anything: a top level searched tuple by
+    tuple gives one byte and stops at its first failing tuple, and a top
+    level in which some tuple has no head of any length gives one zero byte
+    before any remainder is built.
     """
     levels: list[tuple[Sequence[IndexTuple], list[bytes]]] = []
     while len(tuples) >= _BATCH_MIN:
