@@ -305,41 +305,39 @@ def export_hasse(code_files: Sequence[CodeFile]) -> str:
     refinement order with no input strictly between.  Output is
     deterministic for identical inputs.
     """
-    if not code_files:
-        return "digraph refinement {\n}\n"
-    alphabet = code_files[0].alphabet
+    return _hasse(code_files)[1]
+
+
+def _hasse(code_files: Sequence[CodeFile]) -> tuple[dict[str, Fraction], str, list[str]]:
+    """The Kraft value of each node by name, the DOT text, and its edges
+    as ``"C" -> "D"`` without the closing semicolon."""
     for parsed in code_files[1:]:
-        if parsed.alphabet != alphabet:
+        if parsed.alphabet != code_files[0].alphabet:
             raise MixedAlphabetsError(
-                f"codes mix alphabets {alphabet.symbols!r} and {parsed.alphabet.symbols!r}"
+                f"codes mix alphabets {code_files[0].alphabet.symbols!r} and {parsed.alphabet.symbols!r}"
             )
     names = _hasse_names(code_files)
+    # DOT IDs and labels are double-quoted strings, in which \ and " are escaped
+    ids = [name.replace("\\", "\\\\").replace('"', '\\"') for name in names]
+    values = {name: kraft_sum(parsed.code) for name, parsed in zip(names, code_files)}
     codes = [parsed.code for parsed in code_files]
     n = len(codes)
     leq = [[i != j and codes[i] != codes[j] and refines(codes[i], codes[j]) for j in range(n)] for i in range(n)]
     below = [[leq[i][j] and not leq[j][i] for j in range(n)] for i in range(n)]
-    lines = ["digraph refinement {"]
-    for i, parsed in enumerate(code_files):
-        value = kraft_sum(parsed.code)
-        lines.append(f'  "{names[i]}" [label="{names[i]}\\nK = {exact_str(value)}"];')
-    for i in range(n):
-        for j in range(n):
-            if below[i][j] and not any(below[i][k] and below[k][j] for k in range(n)):
-                lines.append(f'  "{names[i]}" -> "{names[j]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = [
+        f'"{ids[i]}" -> "{ids[j]}"'
+        for i in range(n)
+        for j in range(n)
+        if below[i][j] and not any(below[i][k] and below[k][j] for k in range(n))
+    ]
+    nodes = [f'"{id_}" [label="{id_}\\nK = {exact_str(value)}"]' for id_, value in zip(ids, values.values())]
+    dot = "".join(f"  {line};\n" for line in (*nodes, *edges))
+    return values, f"digraph refinement {{\n{dot}}}\n", edges
 
 
 def _cmd_hasse(args, out, err) -> int:
-    parsed_files = [_load(path, err) for path in args.files]
-    dot = export_hasse(parsed_files)
-    edges = [line.strip().rstrip(";") for line in dot.splitlines() if "->" in line]
-    _emit(
-        args, out, "hasse", list(args.files), True,
-        {name: kraft_sum(parsed.code) for name, parsed in zip(_hasse_names(parsed_files), parsed_files)},
-        {"dot": dot, "edges": edges},
-        dot.splitlines(),
-    )
+    values, dot, edges = _hasse([_load(path, err) for path in args.files])
+    _emit(args, out, "hasse", list(args.files), True, values, {"dot": dot, "edges": edges}, dot.splitlines())
     return 0
 
 

@@ -11,10 +11,12 @@ to cross-check the production procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from operator import attrgetter
+from typing import Optional
 
 from .core import Code, Factorization, IndexTuple, Word
 from .errors import CertificateError, ResourceLimitError
+from .refine import factorizations
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -199,21 +201,7 @@ def is_ud_bruteforce(code: Code, max_total_len: int) -> UdVerdict:
     return UdVerdict(True)
 
 
-def _iter_splits(t: IndexTuple, words: dict[IndexTuple, Word], lengths: tuple[int, ...]) -> Iterator[tuple[Word, ...]]:
-    if not t:
-        yield ()
-        return
-    for length in lengths:
-        if length > len(t):
-            break
-        head = words.get(t[:length])
-        if head is not None:
-            for rest in _iter_splits(t[length:], words, lengths):
-                yield (head,) + rest
-
-
 def _bruteforce_witness(code: Code, word: IndexTuple):
-    splits = _iter_splits(word, *code.factor_index())
-    left = Factorization(next(splits))
-    right = Factorization(next(splits))
+    # the two least compositions, not the first two in shortlex order
+    left, right, *_ = sorted(factorizations(Word(code.alphabet, word), code), key=attrgetter("composition"))
     return _ordered_pair(left, right)

@@ -32,7 +32,7 @@ from .kraft import exact_str, kraft_power, kraft_sum
 from .power import DEFAULT_MAX_POWER_WORDS, code_power
 from .refine import (
     DEFAULT_MAX_CANDIDATES,
-    _first_parents,
+    _first_factors,
     cover_exponent_bound,
     irredundant_refinements,
     is_irredundant_refinement,
@@ -211,15 +211,12 @@ def check_monotonicity(
         for k in range(1, effective + 1):
             power = code_power(coarse, k, max_power_words)
             for t in power.indices:
-                parents = _first_parents(t, words, lengths)
-                if parents is None:
+                factors = _first_factors(t, words, lengths)
+                if factors is None:
                     passed = False
                     details.append((f"k={k}.violated", f"{_text(coarse.alphabet, t)} has no factorization"))
                     continue
-                j, boundary = 0, len(t)
-                while boundary:
-                    boundary = parents[boundary]
-                    j += 1
+                j = len(factors)
                 if not k <= j <= m * k:
                     passed = False
                     details.append(

@@ -5,29 +5,32 @@ A code D is finer than C (written C <= D) when every word of C is a
 concatenation of D-words.  D is an irredundant refinement of C when no
 proper subset of D is still finer than C.
 
-Two searches factor words over a code.  Witnesses and factor counts need a
-canonical factorization of each word, which :func:`_first_parents` finds by
-one breadth-first search over the word's prefix boundaries, each keeping
-the first parent it is reached from.  Boundaries leave a FIFO queue and are
-extended by word lengths in ascending order, so children are appended in
-order of (parent, length).  By induction each level leaves the queue in
-lexicographic order of its recorded paths, and the end is first reached
-along the canonical factorization: fewest factors, then lexicographically
-least lengths.
+Three searches cut words at the boundaries of code words, one per question:
 
-The verdict of :func:`refines` needs no factorization, so
-:func:`_factorable` decides a whole set of words together by their first
-factor.  Words share remainders: for a prefix code C, the |C|^k words of
-C^k cut after their first factor leave only the |C|^(k-1) words of
-C^(k-1), and each distinct remainder is decided once instead of once per
-word.  Small sets, and sets that share few remainders, fall back to the
-per-word search.
+* The canonical factors of one word, for witnesses and factor counts:
+  :func:`_first_factors` runs one breadth-first search over the word's
+  prefix boundaries, each keeping the first parent it is reached from, and
+  reads the factors back from those parents.  Boundaries leave a FIFO queue
+  and are extended by word lengths in ascending order, so children are
+  appended in order of (parent, length).  By induction each level leaves
+  the queue in lexicographic order of its recorded paths, and the end is
+  first reached along the canonical factorization: fewest factors, then
+  lexicographically least lengths.
+* Whether a whole set of words factors, for the verdict of :func:`refines`:
+  :func:`_factorable` decides the words together by their first factor.
+  Words share remainders: for a prefix code C, the |C|^k words of C^k cut
+  after their first factor leave only the |C|^(k-1) words of C^(k-1), and
+  each distinct remainder is decided once instead of once per word.  Small
+  sets, and sets that share few remainders, fall back to the per-word
+  search.
+* Every factorization of one word: :func:`factorizations` counts them by
+  dynamic programming over prefix boundaries, then walks them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import compress
 from operator import itemgetter, not_, or_
 from typing import Callable, Optional, Sequence
@@ -58,27 +61,18 @@ class RefinementVerdict:
         if not self.holds and self.witnesses is not None:
             raise ValueError("a failing verdict carries no witnesses")
 
-    def witness_for(self, word: Word) -> Factorization:
-        for w, factorization in self.witnesses or ():
-            if w == word:
-                return factorization
-        raise KeyError(word)
-
 
 def _require_same_alphabet(a, b):
     if a.alphabet is not b.alphabet and a.alphabet != b.alphabet:
         raise MixedAlphabetsError("values are over different alphabets")
 
 
-def _first_parents(
-    indices: IndexTuple,
-    words: dict[IndexTuple, Word],
-    lengths: tuple[int, ...],
-    skip: Optional[IndexTuple] = None,
-) -> Optional[dict[int, int]]:
-    """The module's breadth-first search of ``indices`` over the keys of a
-    :meth:`Code.factor_index` other than ``skip``: the first parent of each
-    boundary reached, returned once ``len(indices)`` is reached, else None."""
+def _first_factors(
+    indices: IndexTuple, words: dict[IndexTuple, Word], lengths: tuple[int, ...]
+) -> Optional[list[IndexTuple]]:
+    """The canonical factorization of ``indices`` over the keys of a
+    :meth:`Code.factor_index`, as those keys, read back from the first
+    parents of the module's breadth-first search; None if it has none."""
     n = len(indices)
     parents: dict[int, int] = {}
     queue = [0]
@@ -88,13 +82,15 @@ def _first_parents(
             j = i + length
             if j > n:
                 break
-            if j not in parents:
-                piece = indices[i:j]
-                if piece in words and piece != skip:
-                    parents[j] = i
-                    if j == n:
-                        return parents
-                    queue.append(j)
+            if j not in parents and indices[i:j] in words:
+                if j == n:
+                    factors = [indices[i:]]
+                    while i:
+                        j, i = i, parents[i]
+                        factors.append(indices[i:j])
+                    return factors[::-1]
+                parents[j] = i
+                queue.append(j)
     return None
 
 
@@ -137,7 +133,7 @@ def _factorable(
     one set of distinct, strictly shorter tuples, which make the next level.
     A level of fewer than ``_BATCH_MIN`` tuples, or one whose remainders are
     not at most half as many, is searched tuple by tuple with
-    :func:`_first_parents`.  So each level kept has at most half the tuples
+    :func:`_first_factors`.  So each level kept has at most half the tuples
     of the one above, and all levels together at most twice the input's,
     none longer than its longest.  The verdicts are then carried back up
     level by level: a tuple factors iff one of its matching heads leaves a
@@ -161,7 +157,7 @@ def _factorable(
             break
         levels.append((tuples, hits))
         tuples = rests
-    searched = (_first_parents(t, words, lengths) is not None for t in tuples)
+    searched = (_first_factors(t, words, lengths) is not None for t in tuples)
     if whole and not levels:
         return bytes([all(searched)])
     verdicts = bytes(searched)
@@ -243,23 +239,16 @@ def first_factorization(word: Word, code: Code) -> Optional[Factorization]:
 
     First means shortlex-minimal factor-length composition: fewest factors,
     then lexicographically smallest lengths.  Returns None when the word
-    has no factorization.  Read off the parents that the module's one
-    search records over the code's :meth:`Code.factor_index`, without
-    enumerating; the factors are the code's own words.
+    has no factorization.  Found by the module's canonical search over the
+    code's :meth:`Code.factor_index`, without enumerating; the factors are
+    the code's own words.
     """
     _require_same_alphabet(word, code)
     words, lengths = code.factor_index()
-    idx = word.indices
-    parents = _first_parents(idx, words, lengths)
-    if parents is None:
+    factors = _first_factors(word.indices, words, lengths)
+    if factors is None:
         return None
-    parts: list[Word] = []
-    j = len(idx)
-    while j:
-        i = parents[j]
-        parts.append(words[idx[i:j]])
-        j = i
-    return Factorization(tuple(reversed(parts)))
+    return Factorization(tuple(map(words.__getitem__, factors)))
 
 
 def is_refinement(coarse: Code, fine: Code) -> RefinementVerdict:
@@ -299,19 +288,24 @@ def is_irredundant_refinement(coarse: Code, fine: Code) -> bool:
 
     Removing words one at a time is equivalent to the proper-subset
     definition because adding words never destroys factorizability.  Each
-    removal is a factoring over ``fine``'s own index that skips the removed
+    removal factors over a copy of ``fine``'s own index without the removed
     word, so no subset code is built.  A removal usually leaves an early
     coarse word without a factorization, so the removals search the coarse
     words one at a time and stop at the first that fails, where the batched
-    search behind :func:`refines` would decide every word.
+    search behind :func:`refines` would decide every word.  A coarse word
+    whose canonical factors, found once when a scan first reaches it, avoid
+    the removed word still factors without it and is not searched again.
     """
     if not refines(coarse, fine):
         return False
     words, lengths = fine.factor_index()
-    return not any(
-        all(_first_parents(t, words, lengths, removed) is not None for t in coarse.indices)
-        for removed in fine.indices
-    )
+    canonical = cache(lambda t: _first_factors(t, words, lengths))
+    for removed in fine.indices:
+        rest = dict(words)
+        del rest[removed]
+        if all(removed not in canonical(t) or _first_factors(t, rest, lengths) is not None for t in coarse.indices):
+            return False
+    return True
 
 
 def cover_exponent_bound(coarse: Code, fine: Code) -> int:
@@ -329,7 +323,9 @@ def cover_exponent_bound(coarse: Code, fine: Code) -> int:
 
 def _composition_block_sets(idx: IndexTuple, max_candidates: int) -> set[frozenset[IndexTuple]]:
     """Distinct block sets over all 2^(len-1) compositions of the word
-    ``idx``, in no particular order."""
+    ``idx``, in no particular order: those of each prefix ``idx[:j]`` are
+    the block sets of a shorter prefix ``idx[:i]``, each with ``idx[i:j]``
+    added."""
     n = len(idx)
     total = 1 << (n - 1)
     if total > max_candidates:
@@ -338,17 +334,10 @@ def _composition_block_sets(idx: IndexTuple, max_candidates: int) -> set[frozens
             limit=max_candidates,
             count=total,
         )
-    out: set[frozenset[IndexTuple]] = set()
-    for mask in range(2 ** (n - 1)):
-        blocks = []
-        start = 0
-        for pos in range(1, n):
-            if (mask >> (pos - 1)) & 1:
-                blocks.append(idx[start:pos])
-                start = pos
-        blocks.append(idx[start:n])
-        out.add(frozenset(blocks))
-    return out
+    sets: list[set[frozenset[IndexTuple]]] = [{frozenset()}]
+    for j in range(1, n + 1):
+        sets.append({blocks | {idx[i:j]} for i in range(j) for blocks in sets[i]})
+    return sets[n]
 
 
 def irredundant_refinements(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -61,6 +62,23 @@ def splitter(word: Word, code: Code):
     results = [tuple(Word(word.alphabet, t) for t in seq) for seq in walk(idx)]
     results.sort(key=lambda seq: (len(seq), tuple(len(w) for w in seq)))
     return results
+
+
+@functools.cache
+def _composition_slices(n: int) -> list[tuple[slice, ...]]:
+    """The blocks of each composition of a length-n word as slices, one
+    composition per bitmask of cut positions 1..n-1."""
+    out = []
+    for mask in range(1 << (n - 1)):
+        bounds = [0, *(pos for pos in range(1, n) if mask >> (pos - 1) & 1), n]
+        out.append(tuple(map(slice, bounds, bounds[1:])))
+    return out
+
+
+def composition_block_sets_by_mask(idx: tuple[int, ...]) -> set[frozenset[tuple[int, ...]]]:
+    """Reference enumeration: the distinct block sets over the 2^(len-1)
+    compositions of ``idx``, enumerated by bitmask."""
+    return {frozenset(map(idx.__getitem__, blocks)) for blocks in _composition_slices(len(idx))}
 
 
 def brute_force_bound(code: Code) -> int:

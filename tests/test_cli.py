@@ -390,6 +390,25 @@ class TestHasse:
         out = run("hasse", fix("unit.code"))[1]
         assert '"unit" [label="unit\\nK = 1/1"];' in out
 
+    def test_json_edges_come_from_the_relation(self, tmp_path):
+        arrow = tmp_path / "a->b.code"
+        arrow.write_text("alphabet 01\n0\n1\n")
+        square = tmp_path / "sq.code"
+        square.write_text("alphabet 01\n0011\n")
+        payload = json.loads(run("--json", "hasse", str(arrow), str(square))[1])
+        assert payload["witnesses"]["edges"] == ['"sq" -> "a->b"']
+        assert '  "sq" -> "a->b";\n' in payload["witnesses"]["dot"]
+
+    def test_quotes_and_backslashes_escaped(self, tmp_path):
+        quoted = tmp_path / 'q"x.code'
+        quoted.write_text("alphabet 01\n0011\n")
+        slashed = tmp_path / "b\\s.code"
+        slashed.write_text("alphabet 01\n0\n1\n")
+        out = run("hasse", str(quoted), str(slashed))[1]
+        assert '  "q\\"x" [label="q\\"x\\nK = 1/16"];\n' in out
+        assert '  "b\\\\s" [label="b\\\\s\\nK = 1/1"];\n' in out
+        assert '  "q\\"x" -> "b\\\\s";\n' in out
+
     def test_export_deterministic(self):
         parsed = [
             parse_code_file((FIXTURES / n).read_bytes(), path=str(FIXTURES / n))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from codekraft import CertificateError, ResourceLimitError, code_power, is_ud, is_ud_bruteforce
+from codekraft import Alphabet, CertificateError, Code, ResourceLimitError, code_power, is_ud, is_ud_bruteforce
 from codekraft.decipher import _reconstruct
 
 from helpers import bcode, binary_codes, brute_force_bound, random_prefix_codes, splitter
@@ -109,6 +109,13 @@ class TestBruteForce:
         verdict = is_ud_bruteforce(bcode("01", "011", "1"), 12)
         assert not verdict.is_ud
         assert verdict.witness[0].concatenation.text == "011"
+
+    def test_witness_is_the_two_least_compositions(self):
+        # abc = a·bc = ab·c: shortlex order over factorizations puts abc first
+        alphabet = Alphabet("abc")
+        code = Code(alphabet, [alphabet.word(t) for t in ("a", "ab", "bc", "c", "abc")])
+        left, right = is_ud_bruteforce(code, 6).witness
+        assert (str(left), str(right)) == ("a·bc", "ab·c")
 
 
 class TestOracleAgreement:

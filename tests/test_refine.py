@@ -26,7 +26,15 @@ from codekraft import (
 )
 from codekraft import cli, refine
 
-from helpers import BINARY, bcode, binary_codes, binary_words_up_to, code_over, splitter
+from helpers import (
+    BINARY,
+    bcode,
+    binary_codes,
+    binary_words_up_to,
+    code_over,
+    composition_block_sets_by_mask,
+    splitter,
+)
 
 TERNARY = Alphabet("012")
 
@@ -293,8 +301,8 @@ class TestRefines:
 
     def test_small_set_stops_at_first_failing_word(self, monkeypatch):
         searched = []
-        first_parents = refine._first_parents
-        monkeypatch.setattr(refine, "_first_parents", lambda t, *args: searched.append(t) or first_parents(t, *args))
+        first_factors = refine._first_factors
+        monkeypatch.setattr(refine, "_first_factors", lambda t, *args: searched.append(t) or first_factors(t, *args))
         assert not refines(bcode("1", "00", "01"), bcode("0"))
         assert searched == [(1,)]
 
@@ -342,7 +350,7 @@ class TestIsRefinement:
     def test_witnessed_split(self):
         verdict = is_refinement(bcode("0011"), bcode("0", "011"))
         assert verdict.holds
-        assert str(verdict.witness_for(BINARY.word("0011"))) == "0·011"
+        assert str(dict(verdict.witnesses)[BINARY.word("0011")]) == "0·011"
 
     def test_negative_case(self):
         verdict = is_refinement(bcode("0011"), bcode("01", "1"))
@@ -463,6 +471,18 @@ class TestIrredundantRefinements:
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             irredundant_refinements(bcode("01010101010101010101010101"), max_candidates=100)
+
+    def test_block_sets_match_bitmask_enumeration(self):
+        words = [t for n in range(1, 11) for t in itertools.product(range(2), repeat=n)]
+        words += [t for n in range(1, 7) for t in itertools.product(range(3), repeat=n)]
+        for t in words:
+            assert refine._composition_block_sets(t, 1 << 10) == composition_block_sets_by_mask(t)
+
+    def test_block_sets_cap_names_compositions(self):
+        with pytest.raises(ResourceLimitError) as raised:
+            refine._composition_block_sets((0, 1) * 4, 100)
+        assert str(raised.value) == "word of length 8 has 128 compositions, more than the cap of 100"
+        assert (raised.value.limit, raised.value.count) == (100, 128)
 
     def test_admissible_restricts_to_passing_refinements(self):
         def at_most_two_words(blocks):
