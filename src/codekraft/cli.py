@@ -2,8 +2,8 @@
 
 Exit codes: 0 = property holds / success, 1 = property fails (not UD, not
 a refinement, failed verification), 2 = usage or input error, 3 =
-resource limit.  All behavior is flag-driven; there are no configuration
-files or environment variables.
+resource limit.  Any other exception is a bug and propagates.  All behavior
+is flag-driven; there are no configuration files or environment variables.
 """
 
 from __future__ import annotations
@@ -56,7 +56,10 @@ def parse_code_file(text: str | bytes, path: str | None = None) -> CodeFile:
     over those symbols.  Duplicate words collapse with a warning.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CodeFileError(str(exc), line=text.count(b"\n", 0, exc.start) + 1) from exc
     alphabet: Alphabet | None = None
     words: list[Word] = []
     warnings: list[str] = []
@@ -279,8 +282,6 @@ def _summarize(report: PropositionReport) -> str:
 
 def _cmd_verify(args, out, err) -> int:
     parsed = _load(args.file, err)
-    if args.kmax < 2:
-        raise ValueError(f"--kmax must be at least 2, got {args.kmax}")
     reports, notes = verify(parsed.code, args.kmax, args.max_states,
                             _cap(args, DEFAULT_MAX_POWER_WORDS), _cap(args, DEFAULT_MAX_CANDIDATES))
     passed = all(r.passed for r in reports)
@@ -356,6 +357,18 @@ def _hasse_names(code_files: Sequence[CodeFile]) -> list[str]:
     return names
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built on the first run_command call and reused: parse_args leaves the
@@ -391,17 +404,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power", help="compute the k-th power of a code")
     p.add_argument("file")
-    p.add_argument("-k", type=int, required=True, metavar="K")
+    p.add_argument("-k", type=_at_least(1), required=True, metavar="K")
     p.set_defaults(handler=_cmd_power)
 
     p = sub.add_parser("chain", help="compute the power chain C, C^2, ..., C^(2^n)")
     p.add_argument("file")
-    p.add_argument("-n", type=int, required=True, metavar="N")
+    p.add_argument("-n", type=_at_least(0), required=True, metavar="N")
     p.set_defaults(handler=_cmd_chain)
 
     p = sub.add_parser("verify", help="run all proposition checks on a code")
     p.add_argument("file")
-    p.add_argument("--kmax", type=int, default=3, metavar="K")
+    p.add_argument("--kmax", type=_at_least(2), default=3, metavar="K")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("hasse", help="DOT export of covering relations among codes")
@@ -434,7 +447,7 @@ def run_command(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[s
         print(f"error: {exc}", file=err)
         return 1
     except (CodeFileError, UnknownSymbolError, EmptyWordError, MixedAlphabetsError,
-            EmptyCodeError, ValueError, OSError) as exc:
+            EmptyCodeError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
 

@@ -16,8 +16,8 @@ Three searches cut words at the boundaries of code words, one per question:
   the queue in lexicographic order of its recorded paths, and the end is
   first reached along the canonical factorization: fewest factors, then
   lexicographically least lengths.
-* Whether a whole set of words factors, for the verdict of :func:`refines`:
-  :func:`_factorable` decides the words together by their first factor.
+* Whether a whole set of words factors: :func:`refines` decides the words
+  of a coarse code together by their first factor.
   Words share remainders: for a prefix code C, the |C|^k words of C^k cut
   after their first factor leave only the |C|^(k-1) words of C^(k-1), and
   each distinct remainder is decided once instead of once per word.  Small
@@ -120,68 +120,6 @@ def _remainders(
     return tuple(rests)
 
 
-def _factorable(
-    tuples: Sequence[IndexTuple], words: dict[IndexTuple, Word], lengths: tuple[int, ...], whole: bool = False
-) -> bytes:
-    """One verdict per nonempty tuple: whether it is a concatenation of keys
-    of a :meth:`Code.factor_index`.
-
-    Decided for all tuples at once by their first cut, since F+ = F·F*: a
-    tuple factors iff some key is a head of it and the remainder is empty or
-    factors.  Each level tests every head against the index, one byte per
-    length and tuple, and streams the remainders of the matching heads into
-    one set of distinct, strictly shorter tuples, which make the next level.
-    A level of fewer than ``_BATCH_MIN`` tuples, or one whose remainders are
-    not at most half as many, is searched tuple by tuple with
-    :func:`_first_factors`.  So each level kept has at most half the tuples
-    of the one above, and all levels together at most twice the input's,
-    none longer than its longest.  The verdicts are then carried back up
-    level by level: a tuple factors iff one of its matching heads leaves a
-    remainder that did not fail.
-
-    With ``whole``, only whether every tuple factors is asked, and only
-    ``all()`` of the result means anything: a top level searched tuple by
-    tuple gives one byte and stops at its first failing tuple, and a top
-    level in which some tuple has no head of any length gives one zero byte
-    before any remainder is built.
-    """
-    levels: list[tuple[Sequence[IndexTuple], list[bytes]]] = []
-    while len(tuples) >= _BATCH_MIN:
-        hits = [bytes(map(words.__contains__, map(itemgetter(slice(length)), tuples))) for length in lengths]
-        if whole and not levels:
-            heads = reduce(or_, (int.from_bytes(hit, "little") for hit in hits))
-            if 0 in heads.to_bytes(len(tuples), "little"):
-                return b"\0"
-        rests = _remainders(tuples, hits, lengths)
-        if rests is None:
-            break
-        levels.append((tuples, hits))
-        tuples = rests
-    searched = (_first_factors(t, words, lengths) is not None for t in tuples)
-    if whole and not levels:
-        return bytes([all(searched)])
-    verdicts = bytes(searched)
-    for upper, hits in reversed(levels):
-        n = len(upper)
-        failed = set(compress(tuples, map(not_, verdicts)))
-        # byte i of ``good`` is 1 iff tuple i's head of this length matches
-        # and leaves a remainder that did not fail
-        found = 0
-        for length, hit in zip(lengths, hits):
-            good = int.from_bytes(hit, "little")
-            if failed:
-                at = list(compress(range(n), hit))
-                rests = map(itemgetter(slice(length, None)), map(upper.__getitem__, at))
-                bad = bytearray(n)
-                for i in compress(at, map(failed.__contains__, rests)):
-                    bad[i] = 1
-                good &= ~int.from_bytes(bad, "little")
-            found |= good
-        verdicts = found.to_bytes(n, "little")
-        tuples = upper
-    return verdicts
-
-
 def factorizations(word: Word, code: Code, max_count: int = DEFAULT_MAX_FACTORIZATIONS) -> tuple[Factorization, ...]:
     """All distinct factorizations of ``word`` into code words.
 
@@ -272,15 +210,63 @@ def is_refinement(coarse: Code, fine: Code) -> RefinementVerdict:
 def refines(coarse: Code, fine: Code) -> bool:
     """Whether ``fine`` refines ``coarse`` (coarse <= fine).
 
-    The verdict of :func:`is_refinement`, without witnesses: the coarse
-    words are decided all at once over ``fine.factor_index()`` by the
-    module's batched first-cut search, which shares the remainders that many
-    words leave after their first fine factor.  It stops early when a coarse
-    word has no fine head at all.
+    The verdict of :func:`is_refinement`, without witnesses, decided for all
+    coarse words at once over ``fine.factor_index()`` by their first cut,
+    since F+ = F·F*: a word factors iff some fine word is a head of it and
+    the remainder is empty or factors.  Each level tests every head against
+    the index, one byte per length and tuple, and streams the remainders of
+    the matching heads into one set of distinct, strictly shorter tuples,
+    which make the next level.  A level of fewer than ``_BATCH_MIN`` tuples,
+    or one whose remainders are not at most half as many, is searched tuple
+    by tuple with :func:`_first_factors`.  So each level kept has at most
+    half the tuples of the one above, and all levels together at most twice
+    the coarse code's, none longer than its longest word.  The verdicts are
+    then carried back up level by level: a tuple factors iff one of its
+    matching heads leaves a remainder that did not fail.
+
+    Two exits come first: a coarse code searched word by word stops at its
+    first failing word, and one in which some word has no fine head of any
+    length fails before any remainder is built.
     """
     _require_same_alphabet(coarse, fine)
     words, lengths = fine.factor_index()
-    return all(_factorable(coarse.indices, words, lengths, whole=True))
+    tuples = coarse.indices
+    levels: list[tuple[Sequence[IndexTuple], list[bytes]]] = []
+    while len(tuples) >= _BATCH_MIN:
+        hits = [bytes(map(words.__contains__, map(itemgetter(slice(length)), tuples))) for length in lengths]
+        if not levels:
+            # an empty fine code has no lengths, so no word has a head
+            heads = reduce(or_, (int.from_bytes(hit, "little") for hit in hits), 0)
+            if 0 in heads.to_bytes(len(tuples), "little"):
+                return False
+        rests = _remainders(tuples, hits, lengths)
+        if rests is None:
+            break
+        levels.append((tuples, hits))
+        tuples = rests
+    searched = (_first_factors(t, words, lengths) is not None for t in tuples)
+    if not levels:
+        return all(searched)
+    verdicts = bytes(searched)
+    for upper, hits in reversed(levels):
+        n = len(upper)
+        failed = set(compress(tuples, map(not_, verdicts)))
+        # byte i of ``good`` is 1 iff tuple i's head of this length matches
+        # and leaves a remainder that did not fail
+        found = 0
+        for length, hit in zip(lengths, hits):
+            good = int.from_bytes(hit, "little")
+            if failed:
+                at = list(compress(range(n), hit))
+                rests = map(itemgetter(slice(length, None)), map(upper.__getitem__, at))
+                bad = bytearray(n)
+                for i in compress(at, map(failed.__contains__, rests)):
+                    bad[i] = 1
+                good &= ~int.from_bytes(bad, "little")
+            found |= good
+        verdicts = found.to_bytes(n, "little")
+        tuples = upper
+    return all(verdicts)
 
 
 def is_irredundant_refinement(coarse: Code, fine: Code) -> bool:

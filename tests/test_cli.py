@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from codekraft import (
     CodeFileError,
@@ -74,6 +75,11 @@ class TestParseCodeFile:
         parsed = parse_code_file(b"alphabet 01\n0\n")
         assert parsed.code == bcode("0")
 
+    def test_bytes_not_utf8_rejected_with_line(self):
+        with pytest.raises(CodeFileError) as exc:
+            parse_code_file(b"alphabet 01\n0\n1\xff0\n")
+        assert exc.value.line == 3 and "utf-8" in str(exc.value)
+
     def test_round_trip_is_byte_identical(self):
         canonical = "alphabet 01\n0\n10\n11\n"
         parsed = parse_code_file(canonical)
@@ -103,6 +109,33 @@ class TestExitCodes:
         bad.write_text("0\n10\n")
         status, _out, err = run("ud", str(bad))
         assert status == 2 and "alphabet" in err
+
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (("power", "prefix.code", "-k", "0"), "argument -k: must be at least 1, got 0"),
+            (("chain", "prefix.code", "-n", "-1"), "argument -n: must be at least 0, got -1"),
+            (("verify", "prefix.code", "--kmax", "1"), "argument --kmax: must be at least 2, got 1"),
+        ],
+    )
+    def test_option_out_of_range(self, argv, problem):
+        status, out, err = run(*(fix(a) if a.endswith(".code") else a for a in argv))
+        assert (status, out) == (2, "") and problem in err
+
+    def test_file_not_utf8(self, tmp_path):
+        bad = tmp_path / "bad.code"
+        bad.write_bytes(b"alphabet 01\n0\n1\xff0\n")
+        status, out, err = run("ud", str(bad))
+        assert (status, out) == (2, "")
+        assert err.startswith("error: line 3: 'utf-8' codec can't decode byte 0xff")
+
+    def test_internal_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(code, max_states):
+            raise ValueError("a UD verdict carries no witness")
+
+        monkeypatch.setattr(cli, "is_ud", broken)
+        with pytest.raises(ValueError, match="carries no witness"):
+            run("ud", fix("prefix.code"))
 
     def test_resource_limit(self):
         status, _out, err = run("--max-tuples", "100", "power", fix("prefix.code"), "-k", "20")
@@ -415,6 +448,50 @@ class TestHasse:
             for n in ("squareword.code", "fine.code", "unit.code")
         ]
         assert export_hasse(parsed) == export_hasse(parsed)
+
+
+@st.composite
+def small_codes(draw):
+    """An alphabet of 1 to 3 symbols, and two codes over it of 0 to 4 words
+    of 1 to 4 symbols."""
+    symbols = "012"[: draw(st.integers(min_value=1, max_value=3))]
+    words = st.lists(st.text(symbols, min_size=1, max_size=4), max_size=4, unique=True)
+    return symbols, draw(words), draw(words)
+
+
+class TestRobustness:
+    @seed(20261019)
+    @settings(max_examples=60, deadline=None)
+    @given(small_codes())
+    def test_every_command_exits_with_a_status(self, tmp_path_factory, codes):
+        symbols, words, other = codes
+        # the square of a 4-word code has up to 16 words: the batched search's size
+        square = sorted({x + y for x in words for y in words})
+        directory = tmp_path_factory.mktemp("codes")
+        files = []
+        for name, members in (("code", words), ("other", other), ("square", square), ("empty", [])):
+            path = directory / f"{name}.code"
+            path.write_text(f"alphabet {symbols}\n" + "".join(f"{w}\n" for w in members))
+            files.append(str(path))
+        code, other, square, empty = files
+        commands = [
+            ("kraft", code),
+            ("ud", code),
+            ("refines", code, other),
+            ("refines", square, other),
+            ("refines", other, square),
+            ("refines", square, empty),
+            ("irredundant", code),
+            ("irredundant", "--ud-only", code),
+            ("power", "-k", "2", code),
+            ("power", "-k", "2", square),
+            ("chain", "-n", "1", code),
+            ("chain", "-n", "1", square),
+            ("verify", code),
+            ("hasse", square, other, code, empty),
+        ]
+        for argv in commands:
+            assert run("--max-tuples", "2000", *argv)[0] in range(4), argv
 
 
 class TestDeterminism:

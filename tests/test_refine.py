@@ -1,6 +1,7 @@
 """Factorization, the refinement order, and irredundant refinements."""
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from codekraft import (
     Alphabet,
     Code,
     EmptyCodeError,
+    RefinementVerdict,
     ResourceLimitError,
     Word,
     code_power,
@@ -265,13 +267,17 @@ class TestRefines:
 
     @seed(20261019)
     @settings(max_examples=150, deadline=None)
-    @given(power_refinement_pairs())
-    def test_batched_search_matches_per_word_search(self, pair):
+    @given(power_refinement_pairs(), st.data())
+    def test_batched_search_matches_per_word_search(self, pair, data):
         coarse, fine = pair
         expected = per_word_verdicts(coarse, fine)
-        words, lengths = fine.factor_index()
-        assert list(refine._factorable(coarse.indices, words, lengths)) == expected
         assert refines(coarse, fine) == all(expected)
+        factoring = list(itertools.compress(coarse, expected))
+        assert refines(Code(coarse.alphabet, factoring), fine)
+        failing = [w for w, holds in zip(coarse, expected) if not holds]
+        if failing:
+            extra = data.draw(st.sampled_from(failing))
+            assert not refines(Code(coarse.alphabet, factoring + [extra]), fine)
 
     def test_longer_head_after_failing_remainder(self, batched_levels):
         # 0122 = 01·22, although the head 0 leaves 122, which does not factor
@@ -282,22 +288,29 @@ class TestRefines:
 
     def test_only_last_word_fails(self, batched_levels):
         fine = bcode("0", "10", "11")
-        coarse = Code(BINARY, list(code_power(fine, 3)) + [BINARY.word("1111111")])
-        words, lengths = fine.factor_index()
-        assert list(refine._factorable(coarse.indices, words, lengths)) == [True] * 27 + [False]
+        factoring = code_power(fine, 3)
+        coarse = Code(BINARY, list(factoring) + [BINARY.word("1111111")])
+        assert per_word_verdicts(coarse, fine) == [True] * 27 + [False]
         assert not refines(coarse, fine)
         assert batched_levels[0]
+        assert refines(factoring, fine)
 
     def test_word_without_head_ends_whole_verdict(self, batched_levels):
         # the words of C^3 that begin with 11 have no head over {0, 10}
         fine = bcode("0", "10")
         coarse = code_power(bcode("0", "10", "11"), 3)
-        words, lengths = fine.factor_index()
-        assert list(refine._factorable(coarse.indices, words, lengths)) == per_word_verdicts(coarse, fine)
+        headed = [w for w in coarse if not w.text.startswith("11")]
+        expected = per_word_verdicts(Code(BINARY, headed), fine)
+        factoring = list(itertools.compress(headed, expected))
+        assert len(headed) == 18 and len(factoring) == 8
+        assert not refines(Code(BINARY, headed), fine)
         assert batched_levels
         batched_levels.clear()
         assert not refines(coarse, fine)
         assert batched_levels == []
+        assert refines(Code(BINARY, factoring), fine)
+        for extra in itertools.compress(headed, map(operator.not_, expected)):
+            assert not refines(Code(BINARY, factoring + [extra]), fine)
 
     def test_small_set_stops_at_first_failing_word(self, monkeypatch):
         searched = []
@@ -415,6 +428,39 @@ class TestIrredundance:
                     s != fine and is_refinement(coarse, s).holds for s in all_subsets(fine)
                 )
                 assert is_irredundant_refinement(coarse, fine) == naive
+
+
+@pytest.mark.parametrize("size", [1, 15, 16, 256])
+class TestEmptyCode:
+    """The empty code is refined by every code and refines only itself, on
+    both sides of the batched search's crossover."""
+
+    @staticmethod
+    def nonempty(size):
+        return Code(BINARY, code_power(bcode("0", "1"), 8).words[:size])
+
+    def test_refines(self, size):
+        code, empty = self.nonempty(size), bcode()
+        assert not refines(code, empty)
+        assert refines(empty, code)
+        assert refines(empty, empty)
+
+    def test_is_refinement(self, size):
+        code, empty = self.nonempty(size), bcode()
+        assert is_refinement(code, empty) == RefinementVerdict(False, failing_word=code.words[0])
+        assert is_refinement(empty, code) == RefinementVerdict(True, ())
+
+    def test_is_irredundant_refinement(self, size):
+        code, empty = self.nonempty(size), bcode()
+        assert not is_irredundant_refinement(code, empty)
+        # the empty subset of the fine code already refines the empty code
+        assert not is_irredundant_refinement(empty, code)
+        assert is_irredundant_refinement(empty, empty)
+
+    def test_first_factorization(self, size):
+        code, empty = self.nonempty(size), bcode()
+        assert all(first_factorization(w, empty) is None for w in code)
+        assert all(first_factorization(w, code).factors == (w,) for w in code)
 
 
 class TestIrredundantRefinements:
