@@ -11,7 +11,6 @@ from .core import (
     Factorization,
     Word,
     concat,
-    parse_word,
 )
 from .decipher import UdVerdict, is_ud, is_ud_bruteforce
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
     ResourceLimitError,
     UnknownSymbolError,
 )
-from .kraft import approx_str, exact_str, kraft_power, kraft_sum
+from .kraft import approx_str, exact_str, kraft_sum
 from .power import PowerChain, code_power, power_chain
 from .props import (
     PropositionId,
@@ -96,10 +95,8 @@ __all__ = [
     "is_refinement",
     "is_ud",
     "is_ud_bruteforce",
-    "kraft_power",
     "kraft_sum",
     "parse_code_file",
-    "parse_word",
     "power_chain",
     "refines",
     "run_command",

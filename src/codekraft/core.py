@@ -58,8 +58,14 @@ class Alphabet:
         return i
 
     def word(self, text: str) -> "Word":
-        """Convenience alias for :func:`parse_word`."""
-        return parse_word(text, self)
+        """Parse ``text`` into a :class:`Word` over this alphabet.
+
+        Raises :class:`EmptyWordError` on empty input and
+        :class:`UnknownSymbolError` on a character outside the alphabet.
+        """
+        if text == "":
+            raise EmptyWordError("cannot parse the empty string as a word")
+        return Word(self, tuple(self.index(ch) for ch in text))
 
     def __repr__(self) -> str:
         return f"Alphabet({self.symbols!r})"
@@ -110,29 +116,11 @@ class Word:
             raise MixedAlphabetsError("cannot order words over different alphabets")
         return self.sort_key < other.sort_key
 
-    def __add__(self, other: "Word") -> "Word":
-        if not isinstance(other, Word):
-            return NotImplemented
-        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
-            raise MixedAlphabetsError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.indices + other.indices)
-
     def __str__(self) -> str:
         return self.text
 
     def __repr__(self) -> str:
         return f"Word({self.text!r})"
-
-
-def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Parse ``text`` into a :class:`Word` over ``alphabet``.
-
-    Raises :class:`EmptyWordError` on empty input and
-    :class:`UnknownSymbolError` on a character outside the alphabet.
-    """
-    if text == "":
-        raise EmptyWordError("cannot parse the empty string as a word")
-    return Word(alphabet, tuple(alphabet.index(ch) for ch in text))
 
 
 def concat(words: Sequence[Word]) -> Word:
@@ -286,10 +274,6 @@ class Code:
             index = _factor_index(self.indices, _trusted_words(self.alphabet, self.indices))
             object.__setattr__(self, "_factor_index", index)
             return index
-
-    def without(self, word: Word) -> "Code":
-        """The code with one word removed."""
-        return Code(self.alphabet, (w for w in self.words if w != word))
 
     def __str__(self) -> str:
         return "{" + ", ".join(_text(self.alphabet, t) for t in self.indices) + "}"

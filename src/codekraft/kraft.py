@@ -14,6 +14,9 @@ from fractions import Fraction
 
 from .core import Code
 
+# significant digits of the decimal approximations in reports
+_DIGITS = 12
+
 
 def kraft_sum(code: Code) -> Fraction:
     """The exact Kraft sum of ``code``; the empty code yields 0.
@@ -37,20 +40,13 @@ def kraft_sum(code: Code) -> Fraction:
     return Fraction(numerator, r**top)
 
 
-def kraft_power(value: Fraction, k: int) -> Fraction:
-    """The exact k-th power of a rational value, k >= 1."""
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    return Fraction(value) ** k
-
-
 def exact_str(value: Fraction) -> str:
     """Render a rational as ``num/den`` in lowest terms (den always shown)."""
     return f"{value.numerator}/{value.denominator}"
 
 
-def approx_str(value: Fraction, digits: int = 12) -> str:
-    """Decimal approximation to ``digits`` significant digits.
+def approx_str(value: Fraction) -> str:
+    """Decimal approximation to 12 significant digits.
 
     For reports only; never feed this back into comparisons.
     """
@@ -58,12 +54,12 @@ def approx_str(value: Fraction, digits: int = 12) -> str:
         return "0"
     sign = "-" if value < 0 else ""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = _DIGITS
         d = Decimal(abs(value.numerator)) / Decimal(value.denominator)
-    mantissa, exp_text = f"{d:.{digits - 1}e}".split("e")
+    mantissa, exp_text = f"{d:.{_DIGITS - 1}e}".split("e")
     exponent = int(exp_text)
     body = mantissa.replace(".", "")
-    if 0 <= exponent < digits:
+    if 0 <= exponent < _DIGITS:
         head, tail = body[: exponent + 1], body[exponent + 1 :]
         text = head + ("." + tail if tail else "")
     elif -4 <= exponent < 0:

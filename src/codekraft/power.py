@@ -70,7 +70,6 @@ class PowerChain:
     ``equal_kraft`` records whether all Kraft values coincide exactly.
     """
 
-    base: Code
     members: tuple[Code, ...]
     kraft_values: tuple[Fraction, ...]
     descending: bool
@@ -99,4 +98,4 @@ def power_chain(code: Code, n: int, max_words: int = DEFAULT_MAX_POWER_WORDS) ->
         for previous, following in zip(members, members[1:])
     )
     equal_kraft = len(set(kraft_values)) == 1
-    return PowerChain(code, tuple(members), kraft_values, descending, equal_kraft)
+    return PowerChain(tuple(members), kraft_values, descending, equal_kraft)

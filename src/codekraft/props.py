@@ -28,7 +28,7 @@ from fractions import Fraction
 from .core import Code, _text, unit_code
 from .decipher import DEFAULT_MAX_STATES, is_ud
 from .errors import ChainViolationError, NotRefinementError, ResourceLimitError
-from .kraft import exact_str, kraft_power, kraft_sum
+from .kraft import exact_str, kraft_sum
 from .power import DEFAULT_MAX_POWER_WORDS, code_power
 from .refine import (
     DEFAULT_MAX_CANDIDATES,
@@ -107,7 +107,7 @@ def check_mcmillan(code: Code, kmax: int = 3) -> PropositionReport:
         m = cover_exponent_bound(code, unit)
         details.append(("cover_exponent_m", m))
         for k in range(1, kmax + 1):
-            lhs = kraft_power(value, k)
+            lhs = value**k
             rhs = (m - 1) * k + 1
             details.append((f"k={k}.kraft_pow", lhs))
             details.append((f"k={k}.linear_bound", rhs))
@@ -143,7 +143,7 @@ def check_power_law(
     def compare(k: int) -> tuple[Fraction, Fraction]:
         if k not in computed:
             lhs = kraft_sum(code_power(code, k, max_power_words))
-            rhs = kraft_power(value, k)
+            rhs = value**k
             computed[k] = (lhs, rhs)
             details.append((f"k={k}.kraft_of_power", lhs))
             details.append((f"k={k}.kraft_pow", rhs))

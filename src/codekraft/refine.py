@@ -120,14 +120,14 @@ def _remainders(
     return tuple(rests)
 
 
-def factorizations(word: Word, code: Code, max_count: int = DEFAULT_MAX_FACTORIZATIONS) -> tuple[Factorization, ...]:
+def factorizations(word: Word, code: Code) -> tuple[Factorization, ...]:
     """All distinct factorizations of ``word`` into code words.
 
     Returned in shortlex order of their factor-length compositions (fewer
     factors first, then lexicographic on the length tuple); empty when the
     word is not a concatenation of code words.  Counts are computed by
     dynamic programming over prefix boundaries before anything is
-    materialized; more than ``max_count`` factorizations raises
+    materialized; more than ``DEFAULT_MAX_FACTORIZATIONS`` of them raises
     :class:`ResourceLimitError` rather than truncating.  Factors are the
     code's own words, looked up in its :meth:`Code.factor_index`.
     """
@@ -150,24 +150,26 @@ def factorizations(word: Word, code: Code, max_count: int = DEFAULT_MAX_FACTORIZ
         counts[i] = total
     if counts[n] == 0:
         return ()
-    if counts[n] > max_count:
+    if counts[n] > DEFAULT_MAX_FACTORIZATIONS:
         raise ResourceLimitError(
-            f"word has {counts[n]} factorizations, more than the cap of {max_count}",
-            limit=max_count,
+            f"word has {counts[n]} factorizations, more than the cap of {DEFAULT_MAX_FACTORIZATIONS}",
+            limit=DEFAULT_MAX_FACTORIZATIONS,
             count=counts[n],
         )
     results: list[Factorization] = []
-
-    def walk(i: int, acc: list[Word]):
-        if i == 0:
-            results.append(Factorization(tuple(reversed(acc))))
-            return
-        for j in preds[i]:
-            acc.append(words[idx[j:i]])
-            walk(j, acc)
-            acc.pop()
-
-    walk(n, [])
+    # walk back from the end without recursion; a path holds the factors
+    # after its boundary as a linked list (factor, rest), first factor first
+    stack = [(n, None)]
+    while stack:
+        i, path = stack.pop()
+        if i:
+            stack.extend((j, (words[idx[j:i]], path)) for j in preds[i])
+            continue
+        factors = []
+        while path is not None:
+            factor, path = path
+            factors.append(factor)
+        results.append(Factorization(tuple(factors)))
     results.sort(key=lambda f: (len(f.factors), f.composition))
     return tuple(results)
 

@@ -20,6 +20,11 @@ def code_over(alphabet: Alphabet, *texts: str) -> Code:
     return Code(alphabet, [alphabet.word(t) for t in texts])
 
 
+def without(code: Code, word: Word) -> Code:
+    """The code with one word removed."""
+    return Code(code.alphabet, (w for w in code if w != word))
+
+
 def binary_words_up_to(max_len: int) -> list[Word]:
     """All binary words of length 1..max_len in shortlex order."""
     out = []

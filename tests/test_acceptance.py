@@ -18,6 +18,7 @@ import pytest
 from codekraft import (
     check_chain,
     code_power,
+    concat,
     cover_exponent_bound,
     first_factorization,
     irredundant_refinements,
@@ -87,7 +88,7 @@ def test_criterion_3_power_law_instances():
         ambiguous = bcode("0", "01", "10")
         assert kraft_sum(ambiguous) == Fraction(1)
         # oracle: expand the 9 ordered pairs, dedupe, sum explicitly
-        pairs = {u + v for u, v in itertools.product(ambiguous.words, repeat=2)}
+        pairs = set(map(concat, itertools.product(ambiguous.words, repeat=2)))
         assert len(pairs) == 8
         expanded = sum(Fraction(1, 2 ** len(w)) for w in pairs)
         assert expanded == Fraction(7, 8)

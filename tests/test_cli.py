@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from codekraft import (
+    ChainViolationError,
     CodeFileError,
     MissingAlphabetError,
     UnknownSymbolError,
@@ -40,7 +41,7 @@ class TestParseCodeFile:
     def test_plain_grammar(self):
         parsed = parse_code_file("alphabet 01\n0\n10\n11\n")
         assert parsed.code == bcode("0", "10", "11")
-        assert parsed.alphabet.symbols == "01"
+        assert parsed.code.alphabet.symbols == "01"
 
     def test_comments_and_blanks_skipped(self):
         parsed = parse_code_file("alphabet 01\n# comment\n\n0011\n")
@@ -83,11 +84,11 @@ class TestParseCodeFile:
     def test_round_trip_is_byte_identical(self):
         canonical = "alphabet 01\n0\n10\n11\n"
         parsed = parse_code_file(canonical)
-        assert emit_code_file(parsed.alphabet, parsed.code) == canonical
+        assert emit_code_file(parsed.code) == canonical
 
     def test_emit_sorts_shortlex(self):
         parsed = parse_code_file("alphabet 01\n11\n0\n")
-        assert emit_code_file(parsed.alphabet, parsed.code) == "alphabet 01\n0\n11\n"
+        assert emit_code_file(parsed.code) == "alphabet 01\n0\n11\n"
 
 
 class TestExitCodes:
@@ -116,6 +117,8 @@ class TestExitCodes:
             (("power", "prefix.code", "-k", "0"), "argument -k: must be at least 1, got 0"),
             (("chain", "prefix.code", "-n", "-1"), "argument -n: must be at least 0, got -1"),
             (("verify", "prefix.code", "--kmax", "1"), "argument --kmax: must be at least 2, got 1"),
+            (("--max-states", "-1", "verify", "prefix.code"), "argument --max-states: must be at least 0, got -1"),
+            (("--max-tuples", "-1", "verify", "prefix.code"), "argument --max-tuples: must be at least 0, got -1"),
         ],
     )
     def test_option_out_of_range(self, argv, problem):
@@ -136,6 +139,14 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "is_ud", broken)
         with pytest.raises(ValueError, match="carries no witness"):
             run("ud", fix("prefix.code"))
+
+    def test_internal_chain_violation_is_not_a_failed_property(self, monkeypatch):
+        def broken(*args):
+            raise ChainViolationError("members 0 and 1 are equal", index=0)
+
+        monkeypatch.setattr(cli, "verify", broken)
+        with pytest.raises(ChainViolationError, match="are equal"):
+            run("verify", fix("prefix.code"))
 
     def test_resource_limit(self):
         status, _out, err = run("--max-tuples", "100", "power", fix("prefix.code"), "-k", "20")

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import codekraft
 from codekraft import (
     Alphabet,
     Code,
@@ -16,10 +17,9 @@ from codekraft import (
     UnknownSymbolError,
     Word,
     concat,
-    parse_word,
 )
 
-from helpers import BINARY, bcode, binary_codes, binary_words_up_to
+from helpers import BINARY, bcode, binary_codes, binary_words_up_to, without
 
 SMALL_CODES = list(binary_codes(4, 3))
 
@@ -50,29 +50,29 @@ class TestAlphabet:
 
 class TestParseWord:
     def test_single_symbol(self):
-        w = parse_word("0", BINARY)
+        w = BINARY.word("0")
         assert w.indices == (0,) and len(w) == 1
 
     def test_transliteration(self):
-        w = parse_word("010", BINARY)
+        w = BINARY.word("010")
         assert w.indices == (0, 1, 0) and len(w) == 3
 
     def test_symbol_outside_alphabet(self):
         with pytest.raises(UnknownSymbolError):
-            parse_word("012", BINARY)
+            BINARY.word("012")
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyWordError):
-            parse_word("", BINARY)
+            BINARY.word("")
 
     @given(st.text(alphabet="01", min_size=1, max_size=40))
     def test_round_trip(self, text):
-        assert parse_word(text, BINARY).text == text
+        assert BINARY.word(text).text == text
 
     @given(st.text(alphabet="ab", min_size=1, max_size=20))
     def test_round_trip_other_alphabet(self, text):
         a = Alphabet("ba")
-        assert parse_word(text, a).text == text
+        assert a.word(text).text == text
 
 
 class TestWord:
@@ -103,9 +103,6 @@ class TestWord:
     def test_cross_alphabet_order_rejected(self):
         with pytest.raises(MixedAlphabetsError):
             BINARY.word("0") < Alphabet("ab").word("a")
-
-    def test_concatenation_operator(self):
-        assert BINARY.word("0") + BINARY.word("10") == BINARY.word("010")
 
     def test_concat_function(self):
         ws = [BINARY.word(t) for t in ("0", "10", "11")]
@@ -193,7 +190,7 @@ class TestCode:
         c = bcode("0", "10")
         assert BINARY.word("10") in c
         assert BINARY.word("11") not in c
-        assert c.without(BINARY.word("10")) == bcode("0")
+        assert without(c, BINARY.word("10")) == bcode("0")
 
     def test_mixed_alphabets_rejected(self):
         with pytest.raises(MixedAlphabetsError):
@@ -243,3 +240,25 @@ class TestFactorization:
     def test_rendering(self):
         f = Factorization((BINARY.word("01"), BINARY.word("0")))
         assert str(f) == "01·0"
+
+
+class TestPublicApi:
+    # one name per job: a name is added or removed here on purpose only
+    NAMES = [
+        "Alphabet", "CertificateError", "ChainViolationError", "Code", "CodeError", "CodeFile",
+        "CodeFileError", "EmptyCodeError", "EmptyWordError", "Factorization", "MissingAlphabetError",
+        "MixedAlphabetsError", "NotRefinementError", "PowerChain", "PropositionId", "PropositionReport",
+        "RefinementVerdict", "ResourceLimitError", "UdVerdict", "UnknownSymbolError", "Word",
+        "approx_str", "check_chain", "check_equal_kraft_finiteness", "check_mcmillan",
+        "check_monotonicity", "check_power_law", "code_power", "concat", "cover_exponent_bound",
+        "emit_code_file", "equal_kraft_refinements", "exact_str", "export_hasse", "factorizations",
+        "first_factorization", "irredundant_refinements", "is_irredundant_refinement", "is_refinement",
+        "is_ud", "is_ud_bruteforce", "kraft_sum", "parse_code_file", "power_chain", "refines",
+        "run_command", "verify",
+    ]
+
+    def test_surface_is_pinned(self):
+        assert sorted(codekraft.__all__) == self.NAMES
+
+    def test_every_name_resolves(self):
+        assert [name for name in codekraft.__all__ if not hasattr(codekraft, name)] == []

@@ -36,6 +36,7 @@ from helpers import (
     code_over,
     composition_block_sets_by_mask,
     splitter,
+    without,
 )
 
 TERNARY = Alphabet("012")
@@ -125,7 +126,13 @@ class TestFactorizations:
     def test_resource_cap(self):
         # 0^24 over {0,00} has fib(25) = 75025 factorizations
         with pytest.raises(ResourceLimitError):
-            factorizations(BINARY.word("0" * 24), bcode("0", "00"), max_count=10_000)
+            factorizations(BINARY.word("0" * 24), bcode("0", "00"))
+
+    def test_long_word_is_walked_without_recursion(self):
+        # 1600 factors, one factorization: deeper than the recursion limit
+        word = BINARY.word("01" * 800)
+        (only,) = factorizations(word, bcode("0", "1"))
+        assert len(only) == 1600 and only.concatenation == word
 
     def test_first_matches_enumeration(self):
         codes = (
@@ -176,7 +183,7 @@ class TestFactorIndex:
         derived = [code]
         if len(code):
             first_factorization(word, code)  # fills the parent's index first
-            derived.append(code.without(code.words[drop % len(code)]))
+            derived.append(without(code, code.words[drop % len(code)]))
         for c in derived:
             expected = reference_factorizations(word, c)
             actual = factorizations(word, c)
@@ -325,9 +332,9 @@ class TestRefines:
         coarse = code_power(fine, 2)
         assert refines(coarse, fine)
         for dropped in (fine.words[0], fine.words[-1]):
-            assert not refines(coarse, fine.without(dropped))
+            assert not refines(coarse, without(fine, dropped))
         # every word has a head, but 0^8 1^8 leaves the dropped word 1^8
-        fine = fine.without(BINARY.word("1" * 8))
+        fine = without(fine, BINARY.word("1" * 8))
         coarse = Code(BINARY, list(code_power(fine, 2)) + [BINARY.word("0" * 8 + "1" * 8)])
         assert not refines(coarse, fine)
 
@@ -336,7 +343,7 @@ class TestRefines:
         fine = bcode("0", "10", "11", *extra)
         coarse = code_power(bcode("0", "10", "11"), 3)
         expected = all(per_word_verdicts(coarse, fine)) and not any(
-            all(per_word_verdicts(coarse, fine.without(w))) for w in fine
+            all(per_word_verdicts(coarse, without(fine, w))) for w in fine
         )
         assert is_irredundant_refinement(coarse, fine) == expected == (not extra)
 
@@ -413,7 +420,7 @@ class TestIrredundance:
     def test_matches_single_removal_reference(self, pair):
         coarse, fine = pair
         expected = is_refinement(coarse, fine).holds and not any(
-            is_refinement(coarse, fine.without(w)).holds for w in fine.words
+            is_refinement(coarse, without(fine, w)).holds for w in fine.words
         )
         assert is_irredundant_refinement(coarse, fine) == expected
 
