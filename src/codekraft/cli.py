@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Sequence
 
-from .core import Alphabet, Code, IndexTuple, Word, _text
+from .core import Alphabet, Code, Key, Word
 from .decipher import DEFAULT_MAX_STATES, is_ud
 from .errors import (
     CodeFileError,
@@ -48,9 +48,9 @@ def parse_code_file(text: str | bytes, path: str | None = None) -> CodeFile:
     """Parse the one-word-per-line code file format.
 
     Lines starting with ``#`` and blank lines are ignored.  The first
-    significant line must be ``alphabet <symbols>`` with pairwise distinct
-    non-whitespace characters; every later significant line is one word
-    over those symbols.  Duplicate words collapse with a warning.
+    significant line must be ``alphabet <symbols>``: distinct characters,
+    none of them whitespace or ``#``.  Every later significant line is one
+    word over those symbols.  Duplicate words collapse with a warning.
     """
     if isinstance(text, bytes):
         try:
@@ -58,9 +58,8 @@ def parse_code_file(text: str | bytes, path: str | None = None) -> CodeFile:
         except UnicodeDecodeError as exc:
             raise CodeFileError(str(exc), line=text.count(b"\n", 0, exc.start) + 1) from exc
     alphabet: Alphabet | None = None
-    words: list[Word] = []
+    words: dict[Key, Word] = {}
     warnings: list[str] = []
-    seen: set[IndexTuple] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -71,6 +70,8 @@ def parse_code_file(text: str | bytes, path: str | None = None) -> CodeFile:
                 raise MissingAlphabetError(
                     "expected 'alphabet <symbols>' as the first significant line", line=lineno
                 )
+            if "#" in parts[1]:
+                raise CodeFileError("'#' starts a comment and cannot be an alphabet symbol", line=lineno)
             try:
                 alphabet = Alphabet(parts[1])
             except ValueError as exc:
@@ -82,20 +83,19 @@ def parse_code_file(text: str | bytes, path: str | None = None) -> CodeFile:
             word = alphabet.word(line)
         except UnknownSymbolError as exc:
             raise UnknownSymbolError(exc.symbol, line=lineno) from exc
-        if word.indices in seen:
+        if word.indices in words:
             warnings.append(f"line {lineno}: duplicate word {line!r}")
             continue
-        seen.add(word.indices)
-        words.append(word)
+        words[word.indices] = word
     if alphabet is None:
         raise MissingAlphabetError("code file declares no alphabet")
-    return CodeFile(path, Code(alphabet, words), tuple(warnings))
+    return CodeFile(path, Code(alphabet, words.values()), tuple(warnings))
 
 
 def emit_code_file(code: Code) -> str:
     """Canonical text for a code: alphabet line, then shortlex words."""
     lines = [f"alphabet {code.alphabet.symbols}"]
-    lines.extend(_text(code.alphabet, t) for t in code.indices)
+    lines.extend(t.translate(code.alphabet.symbols) for t in code.indices)
     return "\n".join(lines) + "\n"
 
 
@@ -130,9 +130,8 @@ def _emit(args, out: IO[str], command: str, inputs: list[str], verdict: bool,
             "witnesses": _jsonable(witnesses),
         }
         print(json.dumps(payload, indent=2, ensure_ascii=False), file=out)
-    else:
-        for line in human_lines:
-            print(line, file=out)
+    elif human_lines:
+        out.write("\n".join(human_lines) + "\n")
 
 
 def _report_jsonable(report: PropositionReport) -> dict:
@@ -206,7 +205,7 @@ def _cmd_irredundant(args, out, err) -> int:
     _emit(
         args, out, "irredundant", [args.file], True,
         {"count": len(refinements)},
-        {"refinements": [[_text(d.alphabet, t) for t in d.indices] for d in refinements]},
+        {"refinements": [[t.translate(d.alphabet.symbols) for t in d.indices] for d in refinements]},
         [str(d) for d in refinements],
     )
     return 0

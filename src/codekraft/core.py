@@ -1,14 +1,17 @@
 """Immutable value types: alphabets, words, codes, factorizations.
 
 All values are immutable after construction and safe to share across
-threads.  A code is held as ``Code.indices``, the sorted tuple of its
-words' symbol-index tuples; everything that only needs the symbols (Kraft
-sums, refinement and UD verdicts, powers, membership, printing) reads
-that.  One per-code value is a cache: the factorization index
-(:meth:`Code.factor_index`), which also holds the code's :class:`Word`
-objects.  A code built from words fills it at construction; a code built
-internally from index tuples fills it on first use.  Two threads racing to
-fill it both compute and store equal values, so the race is harmless.
+threads.  A word is held as its *key*, the string whose i-th code point is
+the index of its i-th symbol (``tuple(map(ord, key))`` gives the indices
+back); keys compare in the order of their index sequences.  A code is held
+as ``Code.indices``, the sorted tuple of its words' keys; everything that
+only needs the symbols (Kraft sums, refinement and UD verdicts, powers,
+membership, printing) reads that.  One per-code value is a cache: the
+factorization index (:meth:`Code.factor_index`), which also holds the
+code's :class:`Word` objects.  A code built from words fills it at
+construction; a code built internally from keys fills it on first use.
+Two threads racing to fill it both compute and store equal values, so the
+race is harmless.
 The canonical order used everywhere (code iteration, enumeration output,
 witness reporting) is shortlex: first by length, then lexicographically by
 symbol index.
@@ -22,12 +25,19 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyCodeError, EmptyWordError, MixedAlphabetsError, UnknownSymbolError
 
-IndexTuple = tuple[int, ...]
+Key = str  # a word's key: code point i is the index of symbol i
+
+
+class _KeyTable(dict):
+    """A :meth:`str.translate` table from symbols to key characters."""
+
+    def __missing__(self, point: int):
+        raise UnknownSymbolError(chr(point))
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,17 +45,21 @@ class Alphabet:
     """An ordered sequence of distinct single-character symbols.
 
     Symbols are single characters in text form; words store symbol
-    *indices*, so alphabets of any practical size work (there is no fixed
-    limit; anything beyond base 36 simply needs more exotic characters).
+    *indices* as the code points of their keys, so alphabets of any
+    practical size work.  ``key.translate(symbols)`` prints a key, and one
+    translate through the alphabet's own table maps text to a key.
     """
 
     symbols: str
+    _keys: _KeyTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.symbols:
             raise ValueError("alphabet must contain at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
+        keys = _KeyTable(zip(map(ord, self.symbols), map(chr, range(len(self.symbols)))))
+        if len(keys) != len(self.symbols):
             raise ValueError(f"duplicate alphabet symbol in {self.symbols!r}")
+        object.__setattr__(self, "_keys", keys)
 
     @property
     def size(self) -> int:
@@ -65,33 +79,32 @@ class Alphabet:
         """
         if text == "":
             raise EmptyWordError("cannot parse the empty string as a word")
-        return Word(self, tuple(self.index(ch) for ch in text))
+        return Word(self, text.translate(self._keys))
 
     def __repr__(self) -> str:
         return f"Alphabet({self.symbols!r})"
 
 
-def _text(alphabet: Alphabet, indices: IndexTuple) -> str:
-    """The text of a word's index tuple, so codes print without Words."""
-    return "".join(map(alphabet.symbols.__getitem__, indices))
-
-
 @functools.total_ordering
 @dataclass(frozen=True, slots=True)
 class Word:
-    """A nonempty sequence of symbol indices over one alphabet."""
+    """A nonempty sequence of symbol indices over one alphabet, held as its
+    key; the constructor also takes the indices as a sequence of ints."""
 
     alphabet: Alphabet
-    indices: tuple[int, ...]
+    indices: Key
 
     def __post_init__(self):
-        indices = self.indices
-        if not indices:
+        key, r = self.indices, self.alphabet.size
+        if isinstance(key, str) and key and ord(max(key)) < r:
+            return
+        ints = list(map(ord, key)) if isinstance(key, str) else key
+        if not ints:
             raise EmptyWordError("the null string is not a word")
-        r = self.alphabet.size
-        if min(indices) < 0 or max(indices) >= r:
-            bad = next(i for i in indices if not 0 <= i < r)
+        if min(ints) < 0 or max(ints) >= r:
+            bad = next(i for i in ints if not 0 <= i < r)
             raise ValueError(f"symbol index {bad} out of range for alphabet of size {r}")
+        object.__setattr__(self, "indices", "".join(map(chr, ints)))
 
     def __hash__(self) -> int:
         # equal words have equal indices, so this agrees with __eq__
@@ -101,13 +114,13 @@ class Word:
         return len(self.indices)
 
     @property
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        """Shortlex key: (length, indices)."""
+    def sort_key(self) -> tuple[int, Key]:
+        """Shortlex key: (length, key)."""
         return (len(self.indices), self.indices)
 
     @property
     def text(self) -> str:
-        return _text(self.alphabet, self.indices)
+        return self.indices.translate(self.alphabet.symbols)
 
     def __lt__(self, other: "Word") -> bool:
         if not isinstance(other, Word):
@@ -128,30 +141,27 @@ def concat(words: Sequence[Word]) -> Word:
     if not words:
         raise EmptyWordError("cannot concatenate an empty sequence of words")
     alphabet = words[0].alphabet
-    out: list[int] = []
     for w in words:
         if w.alphabet is not alphabet and w.alphabet != alphabet:
             raise MixedAlphabetsError("cannot concatenate words over different alphabets")
-        out.extend(w.indices)
-    return Word(alphabet, tuple(out))
+    return Word(alphabet, "".join([w.indices for w in words]))
 
 
-def _shortlex(indices: IndexTuple) -> tuple[int, IndexTuple]:
+def _shortlex(indices: Key) -> tuple[int, Key]:
     return (len(indices), indices)
 
 
 def _factor_index(
-    indices: tuple[IndexTuple, ...], words: Iterable[Word]
-) -> tuple[dict[IndexTuple, Word], tuple[int, ...]]:
+    indices: tuple[Key, ...], words: Iterable[Word]
+) -> tuple[dict[Key, Word], tuple[int, ...]]:
     # ``indices`` is shortlex-sorted, so its distinct lengths come in order
     return dict(zip(indices, words)), tuple(dict.fromkeys(map(len, indices)))
 
 
-def _trusted_words(alphabet: Alphabet, tuples: Iterable[IndexTuple]) -> Iterator[Word]:
-    # the tuples come from validated words over ``alphabet``: set the two
-    # slots directly instead of range-checking every symbol again
+def _trusted_words(alphabet: Alphabet, keys: Iterable[Key]) -> Iterator[Word]:
+    # keys of validated words: set both slots without range-checking again
     new, set_alphabet, set_indices = object.__new__, Word.alphabet.__set__, Word.indices.__set__
-    for t in tuples:
+    for t in keys:
         word = new(Word)
         set_alphabet(word, alphabet)
         set_indices(word, t)
@@ -162,11 +172,11 @@ class Code:
     """A finite set of nonempty words over one alphabet.
 
     The code's primary form is ``indices``: the shortlex-sorted tuple of
-    its words' symbol-index tuples.  The only other per-code structure is
-    :meth:`factor_index`, which maps each index tuple to its :class:`Word`;
+    its words' keys.  The only other per-code structure is
+    :meth:`factor_index`, which maps each key to its :class:`Word`;
     ``words`` and iteration read its values.  A code built from words fills
     it at construction (keeping the first of equal words); a code built
-    internally from index tuples builds it on first read.  Input that is
+    internally from keys builds it on first read.  Input that is
     already sorted, or nearly so, sorts in about linear time.  The empty
     code is permitted (Kraft sum 0, vacuously uniquely decipherable,
     refined by every code).
@@ -177,11 +187,11 @@ class Code:
     __slots__ = ("alphabet", "indices", "_factor_index")
 
     alphabet: Alphabet
-    indices: tuple[IndexTuple, ...]
+    indices: tuple[Key, ...]
 
     def __init__(self, alphabet: Alphabet, words: Iterable[Word] = ()):
         # an insertion-ordered dict keeps the first of equal words
-        seen: dict[IndexTuple, Word] = {}
+        seen: dict[Key, Word] = {}
         for w in words:
             if not isinstance(w, Word):
                 raise TypeError(f"expected Word, got {type(w).__name__}")
@@ -196,15 +206,15 @@ class Code:
         object.__setattr__(self, "_factor_index", index)
 
     @classmethod
-    def _from_indices(cls, alphabet: Alphabet, tuples: Iterable[IndexTuple]) -> "Code":
-        """A code of index tuples taken from validated words over
-        ``alphabet`` (concatenations, slices or subsets of them); repeated
-        tuples collapse."""
+    def _from_indices(cls, alphabet: Alphabet, keys: Iterable[Key]) -> "Code":
+        """A code of keys taken from validated words over ``alphabet``
+        (concatenations, slices or subsets of them); repeated keys
+        collapse."""
         code = object.__new__(cls)
-        code._fill(alphabet, dict.fromkeys(tuples))
+        code._fill(alphabet, dict.fromkeys(keys))
         return code
 
-    def _fill(self, alphabet: Alphabet, distinct: Iterable[IndexTuple]) -> None:
+    def _fill(self, alphabet: Alphabet, distinct: Iterable[Key]) -> None:
         # shortlex by two C-level sorts: lexicographic, then stable by length
         indices = sorted(distinct)
         indices.sort(key=len)
@@ -259,12 +269,12 @@ class Code:
             raise EmptyCodeError("empty code has no minimum word length")
         return len(self.indices[0])
 
-    def factor_index(self) -> tuple[dict[IndexTuple, Word], tuple[int, ...]]:
-        """The code's words keyed by their symbol-index tuples, in shortlex
-        order, and the sorted distinct word lengths.
+    def factor_index(self) -> tuple[dict[Key, Word], tuple[int, ...]]:
+        """The code's words by their keys, in shortlex order, and the
+        sorted distinct word lengths.
 
         Kept for the life of the code, so factoring many words over one code
-        reads one index; a code built from index tuples builds it, and its
+        reads one index; a code built from keys builds it, and its
         :class:`Word` objects, on first request.  The dict values are the
         code's own words.
         """
@@ -276,7 +286,7 @@ class Code:
             return index
 
     def __str__(self) -> str:
-        return "{" + ", ".join(_text(self.alphabet, t) for t in self.indices) + "}"
+        return "{" + ", ".join(t.translate(self.alphabet.symbols) for t in self.indices) + "}"
 
     def __repr__(self) -> str:
         return f"Code({self.alphabet.symbols!r}, {self})"
@@ -284,7 +294,7 @@ class Code:
 
 def unit_code(alphabet: Alphabet) -> Code:
     """The full one-symbol code: every symbol of ``alphabet`` as a word."""
-    return Code(alphabet, (Word(alphabet, (i,)) for i in range(alphabet.size)))
+    return Code(alphabet, (Word(alphabet, chr(i)) for i in range(alphabet.size)))
 
 
 @dataclass(frozen=True, slots=True)

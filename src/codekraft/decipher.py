@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional
 
-from .core import Code, Factorization, IndexTuple, Word
+from .core import Code, Factorization, Key, Word
 from .errors import CertificateError, ResourceLimitError
 from .refine import factorizations
 
@@ -68,12 +68,12 @@ def is_ud(code: Code, max_states: int = DEFAULT_MAX_STATES) -> UdVerdict:
         return UdVerdict(True)
     word_set = set(words)
     # suffix -> ("init", short, long) | ("A", previous, word) | ("B", previous, word)
-    parents: dict[IndexTuple, tuple] = {}
-    level: list[IndexTuple] = []
-    terminals: list[IndexTuple] = []
+    parents: dict[Key, tuple] = {}
+    level: list[Key] = []
+    terminals: list[Key] = []
     for short in words:
         for long in words:
-            if len(short) < len(long) and long[: len(short)] == short:
+            if len(short) < len(long) and long.startswith(short):
                 s = long[len(short) :]
                 if s not in parents:
                     parents[s] = ("init", short, long)
@@ -87,13 +87,13 @@ def is_ud(code: Code, max_states: int = DEFAULT_MAX_STATES) -> UdVerdict:
                 limit=max_states,
                 count=len(parents),
             )
-        next_level: list[IndexTuple] = []
+        next_level: list[Key] = []
         for s in sorted(level, key=lambda t: (len(t), t)):
             for c in words:
-                if len(c) < len(s) and s[: len(c)] == c:
+                if len(c) < len(s) and s.startswith(c):
                     w = s[len(c) :]
                     kind = "A"
-                elif len(s) < len(c) and c[: len(s)] == s:
+                elif len(s) < len(c) and c.startswith(s):
                     w = c[len(s) :]
                     kind = "B"
                 else:
@@ -110,7 +110,7 @@ def is_ud(code: Code, max_states: int = DEFAULT_MAX_STATES) -> UdVerdict:
     return UdVerdict(False, min(candidates, key=_witness_key))
 
 
-def _reconstruct(code: Code, parents: dict, terminal: IndexTuple):
+def _reconstruct(code: Code, parents: dict, terminal: Key):
     """Replay parent pointers into a concrete collision pair.
 
     A dangling suffix ``s`` stands for two word sequences where one side
@@ -169,14 +169,14 @@ def is_ud_bruteforce(code: Code, max_total_len: int) -> UdVerdict:
     words, lengths = code.factor_index()
     # state: (last maxlen-1 symbols, counts of factorizations ending at the
     # last maxlen boundary positions, capped at 2); value: smallest prefix
-    start = ((), (0,) * (maxlen - 1) + (1,))
-    frontier: dict[tuple, IndexTuple] = {start: ()}
+    start = ("", (0,) * (maxlen - 1) + (1,))
+    frontier: dict[tuple, Key] = {start: ""}
     for _depth in range(1, max_total_len + 1):
-        next_frontier: dict[tuple, IndexTuple] = {}
-        collisions: list[IndexTuple] = []
+        next_frontier: dict[tuple, Key] = {}
+        collisions: list[Key] = []
         for (window, counts), prefix in sorted(frontier.items(), key=lambda kv: kv[1]):
-            for s in range(r):
-                appended = window + (s,)
+            for s in map(chr, range(r)):
+                appended = window + s
                 total = 0
                 for length in lengths:
                     if length > len(appended):
@@ -184,14 +184,14 @@ def is_ud_bruteforce(code: Code, max_total_len: int) -> UdVerdict:
                     if counts[maxlen - length] and appended[-length:] in words:
                         total += counts[maxlen - length]
                 new_count = min(total, 2)
-                word = prefix + (s,)
+                word = prefix + s
                 if new_count >= 2:
                     collisions.append(word)
                     continue
                 new_counts = counts[1:] + (new_count,)
                 if not any(new_counts):
                     continue
-                new_window = appended[-(maxlen - 1) :] if maxlen > 1 else ()
+                new_window = appended[-(maxlen - 1) :] if maxlen > 1 else ""
                 next_frontier.setdefault((new_window, new_counts), word)
         if collisions:
             return UdVerdict(False, _bruteforce_witness(code, min(collisions)))
@@ -201,7 +201,7 @@ def is_ud_bruteforce(code: Code, max_total_len: int) -> UdVerdict:
     return UdVerdict(True)
 
 
-def _bruteforce_witness(code: Code, word: IndexTuple):
+def _bruteforce_witness(code: Code, word: Key):
     # the two least compositions, not the first two in shortlex order
     left, right, *_ = sorted(factorizations(Word(code.alphabet, word), code), key=attrgetter("composition"))
     return _ordered_pair(left, right)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Code, IndexTuple
+from .core import Code, Key
 from .errors import EmptyCodeError, ResourceLimitError
 from .kraft import kraft_sum
 from .refine import refines
@@ -20,16 +20,16 @@ from .refine import refines
 DEFAULT_MAX_POWER_WORDS = 100_000
 
 
-def _concat(a: Sequence[IndexTuple], b: Sequence[IndexTuple]) -> list[IndexTuple]:
+def _concat(a: Sequence[Key], b: Sequence[Key]) -> list[Key]:
     # product order: sorted factors give nearly sorted concatenations, which
     # Code sorts in about linear time.  Repeats are left for Code to drop; a
-    # list for C^k holds |code|^k tuples, the count the cap bounds.
+    # list for C^k holds |code|^k keys, the count the cap bounds.
     return [s + t for s in a for t in b]
 
 
-def _power_tuples(base: Sequence[IndexTuple], k: int) -> Sequence[IndexTuple]:
-    # binary exponentiation; concatenation of tuple lists is associative
-    result: Sequence[IndexTuple] | None = None
+def _power_keys(base: Sequence[Key], k: int) -> Sequence[Key]:
+    # binary exponentiation; concatenation of key lists is associative
+    result: Sequence[Key] | None = None
     while k:
         if k & 1:
             result = base if result is None else _concat(result, base)
@@ -58,7 +58,7 @@ def code_power(code: Code, k: int, max_words: int = DEFAULT_MAX_POWER_WORDS) -> 
         )
     if len(code) == 0:
         return code
-    return Code._from_indices(code.alphabet, _power_tuples(code.indices, k))
+    return Code._from_indices(code.alphabet, _power_keys(code.indices, k))
 
 
 @dataclass(frozen=True, slots=True)

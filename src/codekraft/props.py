@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Code, _text, unit_code
+from .core import Code, unit_code
 from .decipher import DEFAULT_MAX_STATES, is_ud
 from .errors import ChainViolationError, NotRefinementError, ResourceLimitError
 from .kraft import exact_str, kraft_sum
@@ -183,7 +183,7 @@ def check_monotonicity(
     fine code with between k and m*k factors (m the cover exponent), then
     asserts K(coarse) <= K(fine), strictly when the refinement is not
     irredundant.  Factor counts are those of the canonical factorizations,
-    and the powers are factored as index tuples, building no words.
+    and the powers are factored as keys, building no words.
     """
     if not is_ud(coarse).is_ud:
         raise ValueError("monotonicity check requires a UD coarse code")
@@ -214,13 +214,13 @@ def check_monotonicity(
                 factors = _first_factors(t, words, lengths)
                 if factors is None:
                     passed = False
-                    details.append((f"k={k}.violated", f"{_text(coarse.alphabet, t)} has no factorization"))
+                    details.append((f"k={k}.violated", f"{t.translate(coarse.alphabet.symbols)} has no factorization"))
                     continue
                 j = len(factors)
                 if not k <= j <= m * k:
                     passed = False
                     details.append(
-                        (f"k={k}.violated", f"{_text(coarse.alphabet, t)} uses {j} factors, outside [{k}, {m * k}]")
+                        (f"k={k}.violated", f"{t.translate(coarse.alphabet.symbols)} uses {j} factors, outside [{k}, {m * k}]")
                     )
             details.append((f"k={k}.words_checked", len(power)))
     irredundant = is_irredundant_refinement(coarse, fine)

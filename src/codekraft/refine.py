@@ -35,7 +35,7 @@ from itertools import compress
 from operator import itemgetter, not_, or_
 from typing import Callable, Optional, Sequence
 
-from .core import Code, Factorization, IndexTuple, Word, _text
+from .core import Code, Factorization, Key, Word
 from .errors import EmptyCodeError, MixedAlphabetsError, ResourceLimitError
 
 DEFAULT_MAX_FACTORIZATIONS = 10_000
@@ -68,8 +68,8 @@ def _require_same_alphabet(a, b):
 
 
 def _first_factors(
-    indices: IndexTuple, words: dict[IndexTuple, Word], lengths: tuple[int, ...]
-) -> Optional[list[IndexTuple]]:
+    indices: Key, words: dict[Key, Word], lengths: tuple[int, ...]
+) -> Optional[list[Key]]:
     """The canonical factorization of ``indices`` over the keys of a
     :meth:`Code.factor_index`, as those keys, read back from the first
     parents of the module's breadth-first search; None if it has none."""
@@ -94,27 +94,27 @@ def _first_factors(
     return None
 
 
-# The crossover set size, below which one search per tuple beats batched
+# The crossover set size, below which one search per key beats batched
 # levels.  On whole powers C^2, C^3 and C^4 of random binary and ternary
-# prefix codes, the batched search took 1.15 times as long as per-tuple
-# searches at 9 tuples and 0.84-0.91 at 16; on C^2 over C for the 4-word
+# prefix codes, the batched search took 1.15 times as long as per-key
+# searches at 9 keys and 0.84-0.91 at 16; on C^2 over C for the 4-word
 # codes {0,10,110,111} and {00,01,10,11}, 0.46-0.90.  A set whose
 # remainders do not halve pays the head passes for nothing: 1.39 times at
-# 16 tuples, 1.07 at 48, on random subsets of such powers.
+# 16 keys, 1.07 at 48, on random subsets of such powers.
 _BATCH_MIN = 16
 
 
 def _remainders(
-    tuples: Sequence[IndexTuple], hits: list[bytes], lengths: tuple[int, ...]
-) -> Optional[tuple[IndexTuple, ...]]:
+    keys: Sequence[Key], hits: list[bytes], lengths: tuple[int, ...]
+) -> Optional[tuple[Key, ...]]:
     """The distinct nonempty remainders that the matching heads leave, one
-    byte of ``hits`` per length and tuple; None as soon as there are more
-    than half as many remainders as tuples."""
-    limit = len(tuples) // 2
-    rests: set[IndexTuple] = set()
+    byte of ``hits`` per length and key; None as soon as there are more
+    than half as many remainders as keys."""
+    limit = len(keys) // 2
+    rests: set[Key] = set()
     for length, hit in zip(lengths, hits):
-        rests.update(map(itemgetter(slice(length, None)), compress(tuples, hit)))
-        rests.discard(())
+        rests.update(map(itemgetter(slice(length, None)), compress(keys, hit)))
+        rests.discard("")
         if len(rests) > limit:
             return None
     return tuple(rests)
@@ -216,14 +216,14 @@ def refines(coarse: Code, fine: Code) -> bool:
     coarse words at once over ``fine.factor_index()`` by their first cut,
     since F+ = F·F*: a word factors iff some fine word is a head of it and
     the remainder is empty or factors.  Each level tests every head against
-    the index, one byte per length and tuple, and streams the remainders of
-    the matching heads into one set of distinct, strictly shorter tuples,
-    which make the next level.  A level of fewer than ``_BATCH_MIN`` tuples,
+    the index, one byte per length and key, and streams the remainders of
+    the matching heads into one set of distinct, strictly shorter keys,
+    which make the next level.  A level of fewer than ``_BATCH_MIN`` keys,
     or one whose remainders are not at most half as many, is searched tuple
-    by tuple with :func:`_first_factors`.  So each level kept has at most
-    half the tuples of the one above, and all levels together at most twice
+    by key with :func:`_first_factors`.  So each level kept has at most
+    half the keys of the one above, and all levels together at most twice
     the coarse code's, none longer than its longest word.  The verdicts are
-    then carried back up level by level: a tuple factors iff one of its
+    then carried back up level by level: a key factors iff one of its
     matching heads leaves a remainder that did not fail.
 
     Two exits come first: a coarse code searched word by word stops at its
@@ -232,28 +232,28 @@ def refines(coarse: Code, fine: Code) -> bool:
     """
     _require_same_alphabet(coarse, fine)
     words, lengths = fine.factor_index()
-    tuples = coarse.indices
-    levels: list[tuple[Sequence[IndexTuple], list[bytes]]] = []
-    while len(tuples) >= _BATCH_MIN:
-        hits = [bytes(map(words.__contains__, map(itemgetter(slice(length)), tuples))) for length in lengths]
+    keys = coarse.indices
+    levels: list[tuple[Sequence[Key], list[bytes]]] = []
+    while len(keys) >= _BATCH_MIN:
+        hits = [bytes(map(words.__contains__, map(itemgetter(slice(length)), keys))) for length in lengths]
         if not levels:
             # an empty fine code has no lengths, so no word has a head
             heads = reduce(or_, (int.from_bytes(hit, "little") for hit in hits), 0)
-            if 0 in heads.to_bytes(len(tuples), "little"):
+            if 0 in heads.to_bytes(len(keys), "little"):
                 return False
-        rests = _remainders(tuples, hits, lengths)
+        rests = _remainders(keys, hits, lengths)
         if rests is None:
             break
-        levels.append((tuples, hits))
-        tuples = rests
-    searched = (_first_factors(t, words, lengths) is not None for t in tuples)
+        levels.append((keys, hits))
+        keys = rests
+    searched = (_first_factors(t, words, lengths) is not None for t in keys)
     if not levels:
         return all(searched)
     verdicts = bytes(searched)
     for upper, hits in reversed(levels):
         n = len(upper)
-        failed = set(compress(tuples, map(not_, verdicts)))
-        # byte i of ``good`` is 1 iff tuple i's head of this length matches
+        failed = set(compress(keys, map(not_, verdicts)))
+        # byte i of ``good`` is 1 iff key i's head of this length matches
         # and leaves a remainder that did not fail
         found = 0
         for length, hit in zip(lengths, hits):
@@ -267,7 +267,7 @@ def refines(coarse: Code, fine: Code) -> bool:
                 good &= ~int.from_bytes(bad, "little")
             found |= good
         verdicts = found.to_bytes(n, "little")
-        tuples = upper
+        keys = upper
     return all(verdicts)
 
 
@@ -309,7 +309,7 @@ def cover_exponent_bound(coarse: Code, fine: Code) -> int:
     return coarse.max_len() // fine.min_len()
 
 
-def _composition_block_sets(idx: IndexTuple, max_candidates: int) -> set[frozenset[IndexTuple]]:
+def _composition_block_sets(idx: Key, max_candidates: int) -> set[frozenset[Key]]:
     """Distinct block sets over all 2^(len-1) compositions of the word
     ``idx``, in no particular order: those of each prefix ``idx[:j]`` are
     the block sets of a shorter prefix ``idx[:i]``, each with ``idx[i:j]``
@@ -322,7 +322,7 @@ def _composition_block_sets(idx: IndexTuple, max_candidates: int) -> set[frozens
             limit=max_candidates,
             count=total,
         )
-    sets: list[set[frozenset[IndexTuple]]] = [{frozenset()}]
+    sets: list[set[frozenset[Key]]] = [{frozenset()}]
     for j in range(1, n + 1):
         sets.append({blocks | {idx[i:j]} for i in range(j) for blocks in sets[i]})
     return sets[n]
@@ -332,7 +332,7 @@ def irredundant_refinements(
     coarse: Code,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     *,
-    admissible: Optional[Callable[[frozenset[IndexTuple]], bool]] = None,
+    admissible: Optional[Callable[[frozenset[Key]], bool]] = None,
 ) -> tuple[Code, ...]:
     """All irredundant refinements of ``coarse``, canonically ordered.
 
@@ -350,7 +350,7 @@ def irredundant_refinements(
     other's completions, so no minimal union is lost.
 
     ``admissible``, when given, is called with a partial union as the
-    frozenset of its blocks' symbol-index tuples and must be closed under
+    frozenset of its blocks' keys and must be closed under
     subsets: if it holds for a set of blocks it holds for every subset.
     Each distinct partial union is tested once, when first formed, and
     dropped if the test fails.  Its completions are supersets and would
@@ -362,11 +362,11 @@ def irredundant_refinements(
     :class:`ResourceLimitError` (cap and count reported), never truncates.
     """
     alphabet = coarse.alphabet
-    verdicts: dict[frozenset[IndexTuple], bool] = {}
-    states: list[frozenset[IndexTuple]] = [frozenset()]
+    verdicts: dict[frozenset[Key], bool] = {}
+    states: list[frozenset[Key]] = [frozenset()]
     for t in coarse.indices:
         block_sets = _composition_block_sets(t, max_candidates)
-        merged: set[frozenset[IndexTuple]] = set()
+        merged: set[frozenset[Key]] = set()
         for state in states:
             for blocks in block_sets:
                 union = state | blocks
@@ -379,7 +379,7 @@ def irredundant_refinements(
                 if len(merged) > max_candidates:
                     raise ResourceLimitError(
                         f"more than {max_candidates} candidate refinements while processing"
-                        f" word {_text(alphabet, t)!r}",
+                        f" word {t.translate(alphabet.symbols)!r}",
                         limit=max_candidates,
                         count=len(merged),
                     )

@@ -80,7 +80,7 @@ def _composition_slices(n: int) -> list[tuple[slice, ...]]:
     return out
 
 
-def composition_block_sets_by_mask(idx: tuple[int, ...]) -> set[frozenset[tuple[int, ...]]]:
+def composition_block_sets_by_mask(idx: str) -> set[frozenset[str]]:
     """Reference enumeration: the distinct block sets over the 2^(len-1)
     compositions of ``idx``, enumerated by bitmask."""
     return {frozenset(map(idx.__getitem__, blocks)) for blocks in _composition_slices(len(idx))}
@@ -145,3 +145,42 @@ def random_prefix_codes(count: int, seed: int = 7):
         if words:
             out.append(Code(alphabet, words))
     return out
+
+
+# Oracles over plain int-index tuples, independent of the library's keys.
+
+
+def index_tuples(code: Code) -> list[tuple[int, ...]]:
+    """The code's words as int-index tuples, read from their keys."""
+    return [tuple(map(ord, key)) for key in code.indices]
+
+
+def shortlex_tuples(tuples) -> list[tuple[int, ...]]:
+    return sorted(set(tuples), key=lambda t: (len(t), t))
+
+
+def ud_by_tuples(tuples) -> bool:
+    """Sardinas-Patterson on int tuples, verdict only: UD iff no set of
+    dangling suffixes contains a code word."""
+    words = set(tuples)
+
+    def quotients(xs, ys):
+        return {y[len(x) :] for x in xs for y in ys if len(x) < len(y) and y[: len(x)] == x}
+
+    level, seen = quotients(words, words), set()
+    while not level <= seen:
+        if level & words:
+            return False
+        seen |= level
+        level = quotients(words, level) | quotients(level, words)
+    return True
+
+
+def factors_by_tuples(t: tuple[int, ...], fine) -> bool:
+    """Whether the int tuple ``t`` is a concatenation of tuples of ``fine``."""
+    return not t or any(t[: len(f)] == f and factors_by_tuples(t[len(f) :], fine) for f in fine)
+
+
+def power_by_tuples(tuples, k: int) -> list[tuple[int, ...]]:
+    """The k-th power of a code of int tuples, in shortlex order."""
+    return shortlex_tuples(sum(combo, ()) for combo in itertools.product(tuples, repeat=k))

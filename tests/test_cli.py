@@ -52,6 +52,12 @@ class TestParseCodeFile:
             parse_code_file("alphabet 011\n0\n")
         assert "duplicate" in str(exc.value)
 
+    def test_hash_symbol_rejected_with_line(self):
+        # a word starting with the symbol would be skipped as a comment
+        with pytest.raises(CodeFileError) as exc:
+            parse_code_file("# header\nalphabet 0#1\n0\n")
+        assert exc.value.line == 2 and "'#'" in str(exc.value)
+
     def test_missing_alphabet(self):
         with pytest.raises(MissingAlphabetError):
             parse_code_file("# nothing here\n")
@@ -124,6 +130,14 @@ class TestExitCodes:
     def test_option_out_of_range(self, argv, problem):
         status, out, err = run(*(fix(a) if a.endswith(".code") else a for a in argv))
         assert (status, out) == (2, "") and problem in err
+
+    def test_hash_symbol_is_an_input_error(self, tmp_path):
+        # once read as alphabet "#01" with the word "#0" skipped: K = 1/9
+        bad = tmp_path / "hash.code"
+        bad.write_text("alphabet #01\n#0\n01\n")
+        status, out, err = run("kraft", str(bad))
+        assert (status, out) == (2, "")
+        assert err == "error: line 1: '#' starts a comment and cannot be an alphabet symbol\n"
 
     def test_file_not_utf8(self, tmp_path):
         bad = tmp_path / "bad.code"
@@ -293,7 +307,7 @@ class TestCommands:
     @pytest.mark.parametrize("flags", [(), ("--json",)])
     @pytest.mark.parametrize("argv", [("power", fix("prefix.code"), "-k", "3"), ("irredundant", fix("prefix.code"))])
     def test_printing_builds_no_word_index(self, argv, flags, monkeypatch):
-        # tuple-built codes print from their indices; parsed codes fill
+        # key-built codes print from their keys; parsed codes fill
         # their index in __init__, so the patch leaves them alone
         def refuse(self):
             raise AssertionError(f"factor index built for {self.indices}")

@@ -51,11 +51,12 @@ class TestAlphabet:
 class TestParseWord:
     def test_single_symbol(self):
         w = BINARY.word("0")
-        assert w.indices == (0,) and len(w) == 1
+        assert w.indices == "\x00" and len(w) == 1
 
     def test_transliteration(self):
         w = BINARY.word("010")
-        assert w.indices == (0, 1, 0) and len(w) == 3
+        assert w.indices == "\x00\x01\x00" and len(w) == 3
+        assert tuple(map(ord, w.indices)) == (0, 1, 0)
 
     def test_symbol_outside_alphabet(self):
         with pytest.raises(UnknownSymbolError):
@@ -77,14 +78,20 @@ class TestParseWord:
 
 class TestWord:
     def test_indices_validated(self):
-        with pytest.raises(ValueError):
-            Word(BINARY, (0, 2))
+        # int indices and key strings are both validated, then held as keys
+        assert Word(BINARY, (0, 1)).indices == Word(BINARY, "\x00\x01").indices == "\x00\x01"
+        for bad in ((0, 2), "\x00\x02"):
+            with pytest.raises(ValueError, match="symbol index 2 out of range"):
+                Word(BINARY, bad)
         with pytest.raises(ValueError, match="symbol index 5 out of range"):
             Word(BINARY, (0, 5, -1))
+        with pytest.raises(ValueError, match="symbol index -1 out of range"):
+            Word(BINARY, (0, -1))
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyWordError):
-            Word(BINARY, ())
+        for empty in ((), ""):
+            with pytest.raises(EmptyWordError):
+                Word(BINARY, empty)
 
     def test_shortlex_uses_symbol_index_not_codepoint(self):
         # in alphabet "ba", 'b' has index 0 and sorts before 'a'
@@ -140,7 +147,7 @@ class TestCode:
     @settings(max_examples=5, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
     def test_from_indices_matches_constructor(self, shuffle_seed):
-        # every code, its index tuples shuffled and some repeated
+        # every code, its keys shuffled and some repeated
         rng = random.Random(shuffle_seed)
         absent = BINARY.word("1111")
         for code in SMALL_CODES:
@@ -172,7 +179,7 @@ class TestCode:
             assert not hasattr(built, "_factor_index")
 
     def test_words_are_built_once(self):
-        built = Code._from_indices(BINARY, [(1, 1), (0,)])
+        built = Code._from_indices(BINARY, ["\x01\x01", "\x00"])
         first, second = built.words, built.words
         assert all(a is b for a, b in zip(first, second))
         assert [w.text for w in built] == ["0", "11"]

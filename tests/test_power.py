@@ -138,7 +138,7 @@ class TestPowerChain:
         assert not hasattr(chain.members[-1], "_factor_index")
 
     def test_last_member_builds_no_words(self):
-        # the descent check and the Kraft sum read index tuples only
+        # the descent check and the Kraft sum read keys only
         chain = power_chain(bcode("00", "01", "10", "11"), 2)
         last = chain.members[-1]
         assert not hasattr(last, "_factor_index")

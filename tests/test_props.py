@@ -162,7 +162,7 @@ class TestMonotonicity:
             assert report.passed
 
     def test_only_the_fine_code_builds_its_words(self, monkeypatch):
-        # the powers of the coarse code are factored as index tuples
+        # the powers of the coarse code are factored as keys
         indexed = []
         factor_index = Code.factor_index
 
