@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from .core import Alphabet, Code, Key, Word
-from .decipher import DEFAULT_MAX_STATES, is_ud
+from .decipher import DEFAULT_MAX_STATES, _is_ud, is_ud
 from .errors import (
     CodeFileError,
     EmptyCodeError,
@@ -94,9 +94,9 @@ def parse_code_file(text: str | bytes, path: str | None = None) -> CodeFile:
 
 def emit_code_file(code: Code) -> str:
     """Canonical text for a code: alphabet line, then shortlex words."""
-    lines = [f"alphabet {code.alphabet.symbols}"]
-    lines.extend(t.translate(code.alphabet.symbols) for t in code.indices)
-    return "\n".join(lines) + "\n"
+    # one translate: each key ends with chr(r), which the table maps to "\n"
+    symbols = code.alphabet.symbols
+    return f"alphabet {symbols}\n" + chr(len(symbols)).join(code.indices + ("",)).translate(symbols + "\n")
 
 
 def _load(path: str, err: IO[str]) -> CodeFile:
@@ -201,7 +201,7 @@ def _cmd_irredundant(args, out, err) -> int:
     parsed = _load(args.file, err)
     refinements = irredundant_refinements(parsed.code, max_candidates=_cap(args, DEFAULT_MAX_CANDIDATES))
     if args.ud_only:
-        refinements = tuple(d for d in refinements if is_ud(d, max_states=args.max_states).is_ud)
+        refinements = tuple(d for d in refinements if _is_ud(d, args.max_states))
     _emit(
         args, out, "irredundant", [args.file], True,
         {"count": len(refinements)},
@@ -214,12 +214,12 @@ def _cmd_irredundant(args, out, err) -> int:
 def _cmd_power(args, out, err) -> int:
     parsed = _load(args.file, err)
     result = code_power(parsed.code, args.k, max_words=_cap(args, DEFAULT_MAX_POWER_WORDS))
-    lines = emit_code_file(result).splitlines()
+    text = emit_code_file(result)
     _emit(
         args, out, "power", [args.file], True,
         {"k": args.k, "cardinality": len(result), "kraft_sum": kraft_sum(result)},
-        {"words": lines[1:]},
-        lines,
+        {"words": text.split("\n")[1:-1]} if args.json else None,
+        [text[:-1]],
     )
     return 0
 

@@ -51,21 +51,8 @@ def _ordered_pair(left: Factorization, right: Factorization):
     return (left, right)
 
 
-def is_ud(code: Code, max_states: int = DEFAULT_MAX_STATES) -> UdVerdict:
-    """Decide unique decipherability via Sardinas-Patterson.
-
-    Dangling suffixes are iterated to saturation with one parent pointer
-    kept per suffix; every suffix that is itself a code word closes a
-    collision, and the reported witness has minimal total concatenation
-    length among those reachable through the recorded parents (ties broken
-    by shortlex on the concatenated word).
-
-    ``max_states`` bounds the dangling-suffix universe.  The universe is
-    finite for finite codes, so the bound only guards implementation bugs.
-    """
-    words = code.indices
-    if len(words) <= 1:
-        return UdVerdict(True)
+def _saturate(words: tuple[Key, ...], max_states: int) -> tuple[dict[Key, tuple], list[Key]]:
+    """Each dangling suffix of ``words`` with one parent, and those that are words."""
     word_set = set(words)
     # suffix -> ("init", short, long) | ("A", previous, word) | ("B", previous, word)
     parents: dict[Key, tuple] = {}
@@ -104,6 +91,27 @@ def is_ud(code: Code, max_states: int = DEFAULT_MAX_STATES) -> UdVerdict:
                     if w in word_set:
                         terminals.append(w)
         level = next_level
+    return parents, terminals
+
+
+def _is_ud(code: Code, max_states: int = DEFAULT_MAX_STATES) -> bool:
+    """The verdict of :func:`is_ud`, from the same saturation, without a witness."""
+    return not _saturate(code.indices, max_states)[1]
+
+
+def is_ud(code: Code, max_states: int = DEFAULT_MAX_STATES) -> UdVerdict:
+    """Decide unique decipherability via Sardinas-Patterson.
+
+    Dangling suffixes are iterated to saturation with one parent pointer
+    kept per suffix; every suffix that is itself a code word closes a
+    collision, and the reported witness has minimal total concatenation
+    length among those reachable through the recorded parents (ties broken
+    by shortlex on the concatenated word).
+
+    ``max_states`` bounds the dangling-suffix universe.  The universe is
+    finite for finite codes, so the bound only guards implementation bugs.
+    """
+    parents, terminals = _saturate(code.indices, max_states)
     if not terminals:
         return UdVerdict(True)
     candidates = [_reconstruct(code, parents, t) for t in terminals]

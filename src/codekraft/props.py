@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Code, unit_code
-from .decipher import DEFAULT_MAX_STATES, is_ud
+from .decipher import DEFAULT_MAX_STATES, _is_ud, is_ud
 from .errors import ChainViolationError, NotRefinementError, ResourceLimitError
 from .kraft import exact_str, kraft_sum
 from .power import DEFAULT_MAX_POWER_WORDS, code_power
@@ -185,9 +185,9 @@ def check_monotonicity(
     irredundant.  Factor counts are those of the canonical factorizations,
     and the powers are factored as keys, building no words.
     """
-    if not is_ud(coarse).is_ud:
+    if not _is_ud(coarse):
         raise ValueError("monotonicity check requires a UD coarse code")
-    if not is_ud(fine).is_ud:
+    if not _is_ud(fine):
         raise ValueError("monotonicity check requires a UD fine code")
     if not refines(coarse, fine):
         raise NotRefinementError(
@@ -250,7 +250,7 @@ def equal_kraft_refinements(code: Code, max_candidates: int = DEFAULT_MAX_CANDID
     unions that pass both tests.  Every code the enumeration returns passed
     the UD test as a union, so only exact Kraft equality is checked here.
     """
-    if not is_ud(code).is_ud:
+    if not _is_ud(code):
         raise ValueError("equal-Kraft refinement enumeration requires a UD code")
     value = kraft_sum(code)
     alphabet = code.alphabet
@@ -263,7 +263,7 @@ def equal_kraft_refinements(code: Code, max_candidates: int = DEFAULT_MAX_CANDID
     def admissible(blocks) -> bool:
         if sum(r ** (top - len(t)) for t in blocks) > budget:
             return False
-        return is_ud(Code._from_indices(alphabet, blocks)).is_ud
+        return _is_ud(Code._from_indices(alphabet, blocks))
 
     # the enumeration's canonical order survives the filter
     refinements = irredundant_refinements(code, max_candidates, admissible=admissible)
@@ -283,7 +283,7 @@ def check_equal_kraft_finiteness(
         details.append(("violated", "code is not among its own equal-Kraft refinements"))
     for i, member in enumerate(members):
         details.append((f"member_{i}", str(member)))
-        if not (is_ud(member).is_ud and refines(code, member) and kraft_sum(member) == value):
+        if not (_is_ud(member) and refines(code, member) and kraft_sum(member) == value):
             passed = False
             details.append((f"member_{i}.violated", "not a UD equal-Kraft refinement"))
     return PropositionReport(
@@ -302,7 +302,7 @@ def check_chain(chain, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> Proposit
     """
     members = tuple(chain)
     for i, member in enumerate(members):
-        if not is_ud(member).is_ud:
+        if not _is_ud(member):
             raise ValueError(f"chain member {i} is not uniquely decipherable")
     for i in range(len(members) - 1):
         previous, following = members[i], members[i + 1]
@@ -358,7 +358,7 @@ def verify(
     not UD, empty code, unequal chain values, or a ``ResourceLimitError``,
     whose message the note carries.  Notes count neither as pass nor fail.
     """
-    code_is_ud = is_ud(code, max_states).is_ud
+    code_is_ud = _is_ud(code, max_states)
     checks = (
         (PropositionId.MCMILLAN, False, lambda: check_mcmillan(code, kmax)),
         (PropositionId.POWER_LAW, False, lambda: check_power_law(code, kmax, max_power_words)),

@@ -17,18 +17,19 @@ Three searches cut words at the boundaries of code words, one per question:
   first reached along the canonical factorization: fewest factors, then
   lexicographically least lengths.
 * Whether a whole set of words factors: :func:`refines` decides the words
-  of a coarse code together by their first factor.
-  Words share remainders: for a prefix code C, the |C|^k words of C^k cut
-  after their first factor leave only the |C|^(k-1) words of C^(k-1), and
-  each distinct remainder is decided once instead of once per word.  Small
-  sets, and sets that share few remainders, fall back to the per-word
-  search.
+  of a coarse code together by their first factor.  Words share remainders:
+  cut after their first factor, the |C|^k words of C^k for a prefix code C
+  leave only the |C|^(k-1) words of C^(k-1), each decided once.  Sorted
+  words of one length and first factor form a span, found by binary search,
+  and spans with equal remainders share them.  Small sets, and sets that
+  share few remainders, fall back to the per-word search.
 * Every factorization of one word: :func:`factorizations` counts them by
   dynamic programming over prefix boundaries, then walks them all.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import compress
@@ -95,29 +96,86 @@ def _first_factors(
 
 
 # The crossover set size, below which one search per key beats batched
-# levels.  On whole powers C^2, C^3 and C^4 of random binary and ternary
-# prefix codes, the batched search took 1.15 times as long as per-key
-# searches at 9 keys and 0.84-0.91 at 16; on C^2 over C for the 4-word
-# codes {0,10,110,111} and {00,01,10,11}, 0.46-0.90.  A set whose
-# remainders do not halve pays the head passes for nothing: 1.39 times at
-# 16 keys, 1.07 at 48, on random subsets of such powers.
+# levels.  On C^2, C^3 and C^4 over C for random binary and ternary prefix
+# codes, batched levels took 1.40 times as long at 9 keys, 1.01 at 16-23 and
+# 0.70 at 24-31; 0.67 and 0.50 on C^2 over C for {0,10,110,111} and
+# {00,01,10,11}; on subsets whose remainders need not halve, 1.27 at 16-23.
 _BATCH_MIN = 16
 
+# The crossover level size, below which testing each key's heads beats spans.
+# On C^k over C^j, (k, j) = (2, 1), (3, 1), (4, 2), (6, 3), for such codes of 3
+# to 10 words, spans took 1.21 times as long at 128 to 255 keys, 1.09-1.50 at
+# 256, 0.81-1.20 at 343, 0.77 at 512 to 1,023 and 0.38 at 4,096 or more.
+_SPAN_MIN = 300
 
-def _remainders(
-    keys: Sequence[Key], hits: list[bytes], lengths: tuple[int, ...]
-) -> Optional[tuple[Key, ...]]:
-    """The distinct nonempty remainders that the matching heads leave, one
-    byte of ``hits`` per length and key; None as soon as there are more
-    than half as many remainders as keys."""
+
+def _heads(keys: Sequence[Key], fine: Code) -> tuple[dict[int, bytes], list[tuple[slice | bytes, int]]]:
+    """Where ``fine`` keys are heads of the shortlex-sorted ``keys``: a mask
+    per length, and the pieces :func:`_cut` cuts after a head length.  On a
+    level of ``_SPAN_MIN`` keys or more a piece is a span's slice, which ends
+    at its head padded with the last symbol; else it is a length's mask."""
+    n = len(keys)
+    words, lengths = fine.factor_index()
+    if n < _SPAN_MIN:
+        hits = {length: bytes(map(words.__contains__, map(itemgetter(slice(length)), keys))) for length in lengths}
+        return hits, [(hit, length) for length, hit in hits.items()]
+    heads, top = fine.indices, chr(fine.alphabet.size - 1)
+    ends = [bisect_right(heads, length, key=len) for length in lengths]
+    marks = {length: bytearray(n) for length in lengths}
+    spans: list[tuple[slice | bytes, int]] = []
+    a = 0
+    while a < n:
+        width = len(keys[a])
+        b = bisect_right(keys, width, a, key=len)
+        for length, start, end in zip(lengths, [0, *ends], ends):
+            if length > width:
+                break
+            pad = top * (width - length)
+            # only heads between those of the width's first and last keys
+            i = bisect_left(heads, keys[a][:length], start, end)
+            lo = a
+            for f in heads[i : bisect_right(heads, keys[b - 1][:length], i, end)]:
+                lo = bisect_left(keys, f, lo, b)
+                hi = bisect_right(keys, f + pad, lo, b)
+                if lo < hi:
+                    spans.append((slice(lo, hi), length))
+                    marks[length][lo:hi] = b"\1" * (hi - lo)
+                    lo = hi
+        a = b
+    return marks, spans
+
+
+def _cut(keys: Sequence[Key], pieces: list) -> Optional[tuple[list[int], list[list[Key]], list[Key]]]:
+    """Each piece's block of tails (an index), the blocks, and the distinct
+    nonempty tails in shortlex order; None once they outnumber half the
+    keys.  A span's keys share one head f and one width, so its tails are a
+    block T of its size iff the joined span is f + f.join(T)."""
     limit = len(keys) // 2
     rests: set[Key] = set()
-    for length, hit in zip(lengths, hits):
-        rests.update(map(itemgetter(slice(length, None)), compress(keys, hit)))
+    shared: list[int] = []
+    blocks: list[list[Key]] = []
+    hints: dict[tuple[int, Key, Key], int] = {}
+    for selector, length in pieces:
+        selected = compress(keys, selector) if isinstance(selector, bytes) else keys[selector]
+        if isinstance(selector, slice) and selector.stop - selector.start > 1:
+            lo, hi = selector.start, selector.stop
+            hint = (hi - lo, keys[lo][length:], keys[hi - 1][length:])
+            k = hints.get(hint)
+            f = keys[lo][:length]
+            if k is not None and "".join(selected) == f + f.join(blocks[k]):
+                shared.append(k)
+                continue
+            hints[hint] = len(blocks)
+        tails = list(map(itemgetter(slice(length, None)), selected))
+        shared.append(len(blocks))
+        blocks.append(tails)
+        rests.update(tails)
         rests.discard("")
         if len(rests) > limit:
             return None
-    return tuple(rests)
+    ordered = sorted(rests)
+    ordered.sort(key=len)
+    return shared, blocks, ordered
 
 
 def factorizations(word: Word, code: Code) -> tuple[Factorization, ...]:
@@ -213,61 +271,55 @@ def refines(coarse: Code, fine: Code) -> bool:
     """Whether ``fine`` refines ``coarse`` (coarse <= fine).
 
     The verdict of :func:`is_refinement`, without witnesses, decided for all
-    coarse words at once over ``fine.factor_index()`` by their first cut,
-    since F+ = F·F*: a word factors iff some fine word is a head of it and
-    the remainder is empty or factors.  Each level tests every head against
-    the index, one byte per length and key, and streams the remainders of
-    the matching heads into one set of distinct, strictly shorter keys,
-    which make the next level.  A level of fewer than ``_BATCH_MIN`` keys,
-    or one whose remainders are not at most half as many, is searched tuple
-    by key with :func:`_first_factors`.  So each level kept has at most
-    half the keys of the one above, and all levels together at most twice
-    the coarse code's, none longer than its longest word.  The verdicts are
-    then carried back up level by level: a key factors iff one of its
-    matching heads leaves a remainder that did not fail.
+    coarse words at once by their first cut, since F+ = F·F*: a word
+    factors iff some fine word is a head of it and the remainder is empty or
+    factors.  Each level finds its keys' heads (:func:`_heads`) and cuts
+    them off (:func:`_cut`); the distinct tails, strictly shorter keys, make
+    the next level.  A level of fewer than ``_BATCH_MIN`` keys, or one whose
+    tails are not at most half as many, is searched key by key with
+    :func:`_first_factors`.  So each level kept has at most half the keys of
+    the one above, and all levels together at most twice the coarse code's,
+    none longer than its longest word.  The verdicts are then carried back
+    up: a key factors iff one of its heads leaves a tail that did not fail,
+    and a block of tails is tested once for all the spans that share it.
 
     Two exits come first: a coarse code searched word by word stops at its
     first failing word, and one in which some word has no fine head of any
-    length fails before any remainder is built.
+    length fails before any tail is cut.
     """
     _require_same_alphabet(coarse, fine)
     words, lengths = fine.factor_index()
-    keys = coarse.indices
-    levels: list[tuple[Sequence[Key], list[bytes]]] = []
+    keys: Sequence[Key] = coarse.indices
+    levels = []
     while len(keys) >= _BATCH_MIN:
-        hits = [bytes(map(words.__contains__, map(itemgetter(slice(length)), keys))) for length in lengths]
-        if not levels:
-            # an empty fine code has no lengths, so no word has a head
-            heads = reduce(or_, (int.from_bytes(hit, "little") for hit in hits), 0)
-            if 0 in heads.to_bytes(len(keys), "little"):
-                return False
-        rests = _remainders(keys, hits, lengths)
-        if rests is None:
+        hits, pieces = _heads(keys, fine)
+        covered = reduce(or_, (int.from_bytes(hit, "little") for hit in hits.values()), 0)
+        # an empty fine code has no lengths, so no word has a head
+        if not levels and 0 in covered.to_bytes(len(keys), "little"):
+            return False
+        cut = _cut(keys, pieces)
+        if cut is None:
             break
-        levels.append((keys, hits))
-        keys = rests
-    searched = (_first_factors(t, words, lengths) is not None for t in keys)
+        levels.append((keys, hits, covered, pieces, *cut[:2]))
+        keys = cut[2]
+    searched = (t in words or _first_factors(t, words, lengths) is not None for t in keys)
     if not levels:
         return all(searched)
     verdicts = bytes(searched)
-    for upper, hits in reversed(levels):
-        n = len(upper)
+    for upper, hits, found, pieces, shared, blocks in reversed(levels):
         failed = set(compress(keys, map(not_, verdicts)))
-        # byte i of ``good`` is 1 iff key i's head of this length matches
-        # and leaves a remainder that did not fail
-        found = 0
-        for length, hit in zip(lengths, hits):
-            good = int.from_bytes(hit, "little")
-            if failed:
-                at = list(compress(range(n), hit))
-                rests = map(itemgetter(slice(length, None)), map(upper.__getitem__, at))
-                bad = bytearray(n)
-                for i in compress(at, map(failed.__contains__, rests)):
-                    bad[i] = 1
-                good &= ~int.from_bytes(bad, "little")
-            found |= good
-        verdicts = found.to_bytes(n, "little")
         keys = upper
+        if failed:
+            # bad[length][i] is 1 iff key i's tail after that head length failed
+            fails = [bytes(map(failed.__contains__, tails)) for tails in blocks]
+            bad = {length: bytearray(len(upper)) for length in hits}
+            for (selector, length), k in zip(pieces, shared):
+                if isinstance(selector, slice):
+                    bad[length][selector] = fails[k]
+                else:
+                    bad[length][:] = map(failed.__contains__, map(itemgetter(slice(length, None)), upper))
+            found = reduce(or_, (int.from_bytes(hits[n], "little") & ~int.from_bytes(m, "little") for n, m in bad.items()))
+        verdicts = found.to_bytes(len(upper), "little")
     return all(verdicts)
 
 

@@ -1,5 +1,6 @@
 """Proposition checks: reports, assertions, and generated sweeps."""
 
+import io
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from codekraft import (
     power_chain,
     verify,
 )
+from codekraft import cli, decipher
 from codekraft.core import Code, unit_code
 
 from helpers import BINARY, bcode, binary_codes, random_prefix_codes, random_ud_pairs
@@ -216,6 +218,20 @@ class TestEqualKraftRefinements:
                 d for d in irredundant_refinements(code) if kraft_sum(d) == value and is_ud(d).is_ud
             )
             assert equal_kraft_refinements(code) == reference, code
+
+    def test_verdict_readers_build_no_witness(self, monkeypatch, tmp_path):
+        def no_witness(*args):
+            raise AssertionError("a witness was built where only the verdict is read")
+
+        monkeypatch.setattr(decipher, "_reconstruct", no_witness)
+        square = code_power(bcode("00", "01", "10", "11"), 2)
+        assert square in equal_kraft_refinements(square)
+        # {00, 000} is an irredundant refinement of {00000}, and not UD
+        path = tmp_path / "word.code"
+        path.write_text("alphabet 01\n00000\n", encoding="utf-8")
+        out = io.StringIO()
+        assert cli.run_command(["irredundant", "--ud-only", str(path)], out, io.StringIO()) == 0
+        assert out.getvalue() == "{0}\n{00000}\n"
 
     def test_cap_counts_only_admissible_unions(self):
         # C^2 of {0, 10, 11} needs 111 live unions unpruned, 8 pruned

@@ -252,14 +252,14 @@ def batched_levels(monkeypatch):
     """The outcome of each first cut the batched search makes: True when it
     went on to the next level, False when it searched the level per word."""
     outcomes = []
-    remainders = refine._remainders
+    cut = refine._cut
 
     def recording(*args):
-        rests = remainders(*args)
-        outcomes.append(rests is not None)
-        return rests
+        tails = cut(*args)
+        outcomes.append(tails is not None)
+        return tails
 
-    monkeypatch.setattr(refine, "_remainders", recording)
+    monkeypatch.setattr(refine, "_cut", recording)
     return outcomes
 
 
@@ -337,6 +337,64 @@ class TestRefines:
         fine = without(fine, BINARY.word("1" * 8))
         coarse = Code(BINARY, list(code_power(fine, 2)) + [BINARY.word("0" * 8 + "1" * 8)])
         assert not refines(coarse, fine)
+
+    def test_span_sharing_end_tails_but_not_a_middle_one(self, batched_levels):
+        # the spans of heads 00, 01 and 10 have equal sizes and equal first
+        # and last tails, but one middle tail of the 10 span holds 11 at an
+        # even offset, so it does not factor over {00, 01, 10}
+        fine = bcode("00", "01", "10")
+        m = 1
+        while 3 ** (m + 1) < refine._SPAN_MIN:
+            m += 1
+        tails = [w.text for w in code_power(fine, m)]
+        middle = tails[len(tails) // 2]
+        assert middle.startswith("01")
+        odd = "0111" + middle[4:]
+        changed = sorted(set(tails) - {middle} | {odd})
+        assert (changed[0], changed[-1], len(changed)) == (tails[0], tails[-1], len(tails))
+        texts = [head + t for head in ("00", "01") for t in tails] + ["10" + t for t in changed]
+        coarse = Code(BINARY, [BINARY.word(text) for text in texts])
+        assert len(coarse) >= refine._SPAN_MIN
+        expected = per_word_verdicts(coarse, fine)
+        assert expected.count(False) == 1
+        assert not refines(coarse, fine)
+        assert batched_levels[0]
+        assert refines(Code(BINARY, list(itertools.compress(coarse, expected))), fine)
+
+    def test_key_in_spans_of_two_lengths(self, batched_levels):
+        # 00 and 0011 are both heads of each word 0011t: the tail 11t after
+        # 00 fails, the tail t after 0011 factors
+        fine = bcode("00", "01", "10", "0011")
+        base = bcode("00", "01", "10")
+        k = 3
+        while 10 * 3 ** (k - 2) < refine._SPAN_MIN:
+            k += 1
+        doubled = [BINARY.word("0011" + w.text) for w in code_power(base, k - 2)]
+        coarse = Code(BINARY, [*code_power(base, k), *doubled])
+        assert len(coarse) >= refine._SPAN_MIN
+        assert first_factorization(BINARY.word(doubled[0].text[2:]), fine) is None
+        assert refines(coarse, fine) and all(per_word_verdicts(coarse, fine))
+        assert batched_levels[0]
+        # both tails of 001111t fail
+        extra = BINARY.word("0011" + "11" + doubled[0].text[6:])
+        assert first_factorization(extra, fine) is None
+        assert not refines(Code(BINARY, [*coarse, extra]), fine)
+
+    @pytest.mark.parametrize("size", [300, 0xD801])
+    def test_span_ends_on_large_alphabets(self, size, batched_levels):
+        # the spans of a head must reach keys that continue with the last
+        # symbol, whose index is 299, or 0xD800, a surrogate code point
+        alphabet = Alphabet("".join(map(chr, range(0x20000, 0x20000 + size))))
+        top = chr(size - 1)
+        keys = [top, "\0" + top, "\0\0", "\1" + top, "\1\0"]
+        base = Code(alphabet, [Word(alphabet, t) for t in keys])
+        square = code_power(base, 2)
+        coarse = code_power(square, 2)
+        assert len(coarse) >= refine._SPAN_MIN
+        assert refines(coarse, square)
+        assert batched_levels[0]
+        assert not refines(coarse, without(square, Word(alphabet, top + top)))
+        assert not refines(square, coarse)
 
     @pytest.mark.parametrize("extra", [(), ("1",), ("00",), ("110",), ("0110",)])
     def test_irredundance_of_large_coarse_code(self, extra):
