@@ -23,7 +23,6 @@ from .decipher import DEFAULT_MAX_STATES, _is_ud, is_ud
 from .errors import (
     CodeFileError,
     EmptyCodeError,
-    EmptyWordError,
     MissingAlphabetError,
     MixedAlphabetsError,
     ResourceLimitError,
@@ -439,8 +438,7 @@ def run_command(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[s
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=err)
         return 3
-    except (CodeFileError, UnknownSymbolError, EmptyWordError, MixedAlphabetsError,
-            EmptyCodeError, OSError) as exc:
+    except (CodeFileError, UnknownSymbolError, MixedAlphabetsError, EmptyCodeError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
 

@@ -3,10 +3,12 @@
 All values are immutable after construction and safe to share across
 threads.  A word is held as its *key*, the string whose i-th code point is
 the index of its i-th symbol (``tuple(map(ord, key))`` gives the indices
-back); keys compare in the order of their index sequences.  A code is held
-as ``Code.indices``, the sorted tuple of its words' keys; everything that
-only needs the symbols (Kraft sums, refinement and UD verdicts, powers,
-membership, printing) reads that.  One per-code value is a cache: the
+back); keys compare in the order of their index sequences.  The public
+:class:`Word` constructor takes int indices and :meth:`Alphabet.word`
+text; only the library builds a word from a key, through the unchecked
+``Word._from_key``.  A code is held as ``Code.indices``, the sorted tuple
+of its words' keys; everything that only needs the symbols (Kraft sums,
+refinement and UD verdicts, powers, membership, printing) reads that.  One per-code value is a cache: the
 factorization index (:meth:`Code.factor_index`), which also holds the
 code's :class:`Word` objects.  A code built from words fills it at
 construction; a code built internally from keys fills it on first use.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyCodeError, EmptyWordError, MixedAlphabetsError, UnknownSymbolError
@@ -65,12 +68,6 @@ class Alphabet:
     def size(self) -> int:
         return len(self.symbols)
 
-    def index(self, symbol: str) -> int:
-        i = self.symbols.find(symbol)
-        if i < 0:
-            raise UnknownSymbolError(symbol)
-        return i
-
     def word(self, text: str) -> "Word":
         """Parse ``text`` into a :class:`Word` over this alphabet.
 
@@ -79,7 +76,7 @@ class Alphabet:
         """
         if text == "":
             raise EmptyWordError("cannot parse the empty string as a word")
-        return Word(self, text.translate(self._keys))
+        return Word._from_key(self, text.translate(self._keys))
 
     def __repr__(self) -> str:
         return f"Alphabet({self.symbols!r})"
@@ -89,22 +86,29 @@ class Alphabet:
 @dataclass(frozen=True, slots=True)
 class Word:
     """A nonempty sequence of symbol indices over one alphabet, held as its
-    key; the constructor also takes the indices as a sequence of ints."""
+    key; the constructor takes a sequence of ints, :meth:`Alphabet.word` text."""
 
     alphabet: Alphabet
     indices: Key
 
     def __post_init__(self):
-        key, r = self.indices, self.alphabet.size
-        if isinstance(key, str) and key and ord(max(key)) < r:
-            return
-        ints = list(map(ord, key)) if isinstance(key, str) else key
+        ints, r = self.indices, self.alphabet.size
+        if isinstance(ints, (str, bytes, bytearray)):
+            raise TypeError(f"Word takes int symbol indices, not {type(ints).__name__}; parse text with Alphabet.word")
         if not ints:
             raise EmptyWordError("the null string is not a word")
         if min(ints) < 0 or max(ints) >= r:
             bad = next(i for i in ints if not 0 <= i < r)
             raise ValueError(f"symbol index {bad} out of range for alphabet of size {r}")
         object.__setattr__(self, "indices", "".join(map(chr, ints)))
+
+    @classmethod
+    def _from_key(cls, alphabet: Alphabet, key: Key) -> "Word":
+        # a nonempty key of in-range indices by construction: no checks
+        word = object.__new__(cls)
+        object.__setattr__(word, "alphabet", alphabet)
+        object.__setattr__(word, "indices", key)
+        return word
 
     def __hash__(self) -> int:
         # equal words have equal indices, so this agrees with __eq__
@@ -144,7 +148,7 @@ def concat(words: Sequence[Word]) -> Word:
     for w in words:
         if w.alphabet is not alphabet and w.alphabet != alphabet:
             raise MixedAlphabetsError("cannot concatenate words over different alphabets")
-    return Word(alphabet, "".join([w.indices for w in words]))
+    return Word._from_key(alphabet, "".join([w.indices for w in words]))
 
 
 def _shortlex(indices: Key) -> tuple[int, Key]:
@@ -156,16 +160,6 @@ def _factor_index(
 ) -> tuple[dict[Key, Word], tuple[int, ...]]:
     # ``indices`` is shortlex-sorted, so its distinct lengths come in order
     return dict(zip(indices, words)), tuple(dict.fromkeys(map(len, indices)))
-
-
-def _trusted_words(alphabet: Alphabet, keys: Iterable[Key]) -> Iterator[Word]:
-    # keys of validated words: set both slots without range-checking again
-    new, set_alphabet, set_indices = object.__new__, Word.alphabet.__set__, Word.indices.__set__
-    for t in keys:
-        word = new(Word)
-        set_alphabet(word, alphabet)
-        set_indices(word, t)
-        yield word
 
 
 class Code:
@@ -281,7 +275,7 @@ class Code:
         try:
             return self._factor_index
         except AttributeError:
-            index = _factor_index(self.indices, _trusted_words(self.alphabet, self.indices))
+            index = _factor_index(self.indices, map(Word._from_key, repeat(self.alphabet), self.indices))
             object.__setattr__(self, "_factor_index", index)
             return index
 
@@ -294,7 +288,7 @@ class Code:
 
 def unit_code(alphabet: Alphabet) -> Code:
     """The full one-symbol code: every symbol of ``alphabet`` as a word."""
-    return Code(alphabet, (Word(alphabet, chr(i)) for i in range(alphabet.size)))
+    return Code(alphabet, (Word._from_key(alphabet, chr(i)) for i in range(alphabet.size)))
 
 
 @dataclass(frozen=True, slots=True)

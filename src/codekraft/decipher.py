@@ -211,5 +211,5 @@ def is_ud_bruteforce(code: Code, max_total_len: int) -> UdVerdict:
 
 def _bruteforce_witness(code: Code, word: Key):
     # the two least compositions, not the first two in shortlex order
-    left, right, *_ = sorted(factorizations(Word(code.alphabet, word), code), key=attrgetter("composition"))
+    left, right, *_ = sorted(factorizations(Word._from_key(code.alphabet, word), code), key=attrgetter("composition"))
     return _ordered_pair(left, right)

@@ -20,6 +20,11 @@ def code_over(alphabet: Alphabet, *texts: str) -> Code:
     return Code(alphabet, [alphabet.word(t) for t in texts])
 
 
+def key_word(alphabet: Alphabet, key: str) -> Word:
+    """The word whose key is ``key``, built through the public int form."""
+    return Word(alphabet, tuple(map(ord, key)))
+
+
 def without(code: Code, word: Word) -> Code:
     """The code with one word removed."""
     return Code(code.alphabet, (w for w in code if w != word))
@@ -64,7 +69,7 @@ def splitter(word: Word, code: Code):
                 for rest in walk(t[length:]):
                     yield (head,) + rest
 
-    results = [tuple(Word(word.alphabet, t) for t in seq) for seq in walk(idx)]
+    results = [tuple(key_word(word.alphabet, t) for t in seq) for seq in walk(idx)]
     results.sort(key=lambda seq: (len(seq), tuple(len(w) for w in seq)))
     return results
 

@@ -31,7 +31,7 @@ from codekraft import (
     run_command,
 )
 
-from helpers import bcode, binary_codes, brute_force_bound, random_ud_pairs
+from helpers import bcode, binary_codes, brute_force_bound, key_word, random_ud_pairs
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -117,11 +117,11 @@ def test_criterion_4_irredundant_refinements():
         # brute force: all subsets of the substring closure of 0011
         word = bcode("0011").words[0]
         substrings = {word.indices[i:j] for i in range(4) for j in range(i + 1, 5)}
-        from codekraft import Code, Word
+        from codekraft import Code
 
         alphabet = word.alphabet
         universe = sorted(
-            (Word(alphabet, t) for t in substrings), key=lambda w: w.sort_key
+            (key_word(alphabet, t) for t in substrings), key=lambda w: w.sort_key
         )
         refining = []
         for size in range(len(universe) + 1):

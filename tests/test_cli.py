@@ -13,6 +13,7 @@ from hypothesis import given, seed, settings, strategies as st
 from codekraft import (
     ChainViolationError,
     CodeFileError,
+    EmptyWordError,
     MissingAlphabetError,
     UnknownSymbolError,
     emit_code_file,
@@ -161,6 +162,15 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "verify", broken)
         with pytest.raises(ChainViolationError, match="are equal"):
             run("verify", fix("prefix.code"))
+
+    def test_internal_empty_word_is_not_a_usage_error(self, monkeypatch):
+        # no file or flag yields an empty word, so one can only come from a bug
+        def broken(code):
+            raise EmptyWordError("the null string is not a word")
+
+        monkeypatch.setattr(cli, "kraft_sum", broken)
+        with pytest.raises(EmptyWordError, match="null string"):
+            run("kraft", fix("prefix.code"))
 
     def test_resource_limit(self):
         status, _out, err = run("--max-tuples", "100", "power", fix("prefix.code"), "-k", "20")

@@ -19,7 +19,7 @@ from codekraft import (
     concat,
 )
 
-from helpers import BINARY, bcode, binary_codes, binary_words_up_to, without
+from helpers import BINARY, bcode, binary_codes, binary_words_up_to, key_word, without
 
 SMALL_CODES = list(binary_codes(4, 3))
 
@@ -28,7 +28,8 @@ class TestAlphabet:
     def test_size_and_index_bijection(self):
         a = Alphabet("abc")
         assert a.size == 3
-        assert [a.index(ch) for ch in "abc"] == [0, 1, 2]
+        assert [a.word(ch).indices for ch in "abc"] == ["\x00", "\x01", "\x02"]
+        assert [Word(a, (i,)).text for i in range(3)] == ["a", "b", "c"]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -41,11 +42,11 @@ class TestAlphabet:
     def test_large_alphabet(self):
         a = Alphabet("0123456789abcdefghijklmnopqrstuvwxyz")
         assert a.size == 36
-        assert a.index("z") == 35
+        assert a.word("z").indices == chr(35)
 
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbolError):
-            Alphabet("01").index("2")
+            Alphabet("01").word("2")
 
 
 class TestParseWord:
@@ -78,20 +79,29 @@ class TestParseWord:
 
 class TestWord:
     def test_indices_validated(self):
-        # int indices and key strings are both validated, then held as keys
-        assert Word(BINARY, (0, 1)).indices == Word(BINARY, "\x00\x01").indices == "\x00\x01"
-        for bad in ((0, 2), "\x00\x02"):
-            with pytest.raises(ValueError, match="symbol index 2 out of range"):
-                Word(BINARY, bad)
+        # int indices are validated, then held as a key
+        assert Word(BINARY, (0, 1)).indices == "\x00\x01"
+        with pytest.raises(ValueError, match="symbol index 2 out of range"):
+            Word(BINARY, (0, 2))
         with pytest.raises(ValueError, match="symbol index 5 out of range"):
             Word(BINARY, (0, 5, -1))
         with pytest.raises(ValueError, match="symbol index -1 out of range"):
             Word(BINARY, (0, -1))
 
     def test_empty_rejected(self):
-        for empty in ((), ""):
-            with pytest.raises(EmptyWordError):
-                Word(BINARY, empty)
+        with pytest.raises(EmptyWordError):
+            Word(BINARY, ())
+        with pytest.raises(TypeError):
+            Word(BINARY, "")
+
+    def test_text_and_bytes_rejected(self):
+        # over 60 symbols the code points of "01" are valid indices (48, 49),
+        # so text read as a key would silently build another word
+        alphabet = Alphabet("".join(map(chr, range(0x30, 0x30 + 60))))
+        for text in ("01", b"01"):
+            with pytest.raises(TypeError, match="Alphabet.word"):
+                Word(alphabet, text)
+        assert alphabet.word("01") == Word(alphabet, (0, 1))
 
     def test_shortlex_uses_symbol_index_not_codepoint(self):
         # in alphabet "ba", 'b' has index 0 and sorts before 'a'
@@ -134,7 +144,7 @@ class TestCode:
     @given(st.lists(st.sampled_from(binary_words_up_to(3)), max_size=12), st.randoms(use_true_random=False))
     def test_input_order_and_duplicates(self, texts, rng):
         # fresh objects, so the test can tell which of two equal words is kept
-        words = [Word(BINARY, w.indices) for w in texts]
+        words = [key_word(BINARY, w.indices) for w in texts]
         rng.shuffle(words)
         # an equal alphabet that is a different object is accepted
         code = Code(Alphabet("01"), words)

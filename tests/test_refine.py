@@ -35,6 +35,7 @@ from helpers import (
     binary_words_up_to,
     code_over,
     composition_block_sets_by_mask,
+    key_word,
     splitter,
     without,
 )
@@ -56,9 +57,7 @@ def substring_closure(code):
         for i in range(n):
             for j in range(i + 1, n + 1):
                 seen.add(w.indices[i:j])
-    from codekraft import Word
-
-    return Code(code.alphabet, (Word(code.alphabet, t) for t in seen))
+    return Code(code.alphabet, (key_word(code.alphabet, t) for t in seen))
 
 
 def reference_factorizations(word, code):
@@ -70,7 +69,7 @@ def reference_factorizations(word, code):
     tails = [[] for _ in range(n)] + [[()]]
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n + 1):
-            head = Word(word.alphabet, idx[i:j])
+            head = key_word(word.alphabet, idx[i:j])
             if head in code:
                 tails[i].extend((head,) + rest for rest in tails[j])
     return sorted(tails[0], key=lambda seq: (len(seq), tuple(len(w) for w in seq)))
@@ -387,13 +386,13 @@ class TestRefines:
         alphabet = Alphabet("".join(map(chr, range(0x20000, 0x20000 + size))))
         top = chr(size - 1)
         keys = [top, "\0" + top, "\0\0", "\1" + top, "\1\0"]
-        base = Code(alphabet, [Word(alphabet, t) for t in keys])
+        base = Code(alphabet, [key_word(alphabet, t) for t in keys])
         square = code_power(base, 2)
         coarse = code_power(square, 2)
         assert len(coarse) >= refine._SPAN_MIN
         assert refines(coarse, square)
         assert batched_levels[0]
-        assert not refines(coarse, without(square, Word(alphabet, top + top)))
+        assert not refines(coarse, without(square, key_word(alphabet, top + top)))
         assert not refines(square, coarse)
 
     @pytest.mark.parametrize("extra", [(), ("1",), ("00",), ("110",), ("0110",)])
@@ -608,7 +607,7 @@ class TestIrredundantRefinements:
 
         def ud(blocks):
             tested.append(blocks)
-            return is_ud(Code(BINARY, (Word(BINARY, t) for t in blocks))).is_ud
+            return is_ud(Code(BINARY, (key_word(BINARY, t) for t in blocks))).is_ud
 
         irredundant_refinements(bcode("0", "10", "110", "111"), admissible=ud)
         assert tested and len(tested) == len(set(tested))
