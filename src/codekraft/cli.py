@@ -118,21 +118,6 @@ def _jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _emit(args, out: IO[str], command: str, inputs: list[str], verdict: bool,
-          exact_values: dict, witnesses, human_lines: list[str]) -> None:
-    if args.json:
-        payload = {
-            "command": command,
-            "inputs": inputs,
-            "verdict": verdict,
-            "exact_values": _jsonable(exact_values),
-            "witnesses": _jsonable(witnesses),
-        }
-        print(json.dumps(payload, indent=2, ensure_ascii=False), file=out)
-    elif human_lines:
-        out.write("\n".join(human_lines) + "\n")
-
-
 def _report_jsonable(report: PropositionReport) -> dict:
     return {
         "id": report.proposition_id.value,
@@ -146,85 +131,68 @@ def _cap(args, default: int) -> int:
     return default if args.max_tuples is None else args.max_tuples
 
 
-def _cmd_kraft(args, out, err) -> int:
-    parsed = _load(args.file, err)
+# Each _cmd_* handler takes the parsed namespace and the input files in
+# command-line order, and returns (verdict, exact_values, witnesses, lines):
+# the verdict sets the exit status, ``witnesses()`` builds the JSON witnesses
+# and only --json calls it, and ``lines`` are the human report.
+
+
+def _cmd_kraft(args, parsed):
     value = kraft_sum(parsed.code)
-    _emit(
-        args, out, "kraft", [args.file], True,
-        {"kraft_sum": value},
-        None,
-        [f"{exact_str(value)} (≈ {approx_str(value)})"],
-    )
-    return 0
+    return True, {"kraft_sum": value}, lambda: None, [f"{exact_str(value)} (≈ {approx_str(value)})"]
 
 
-def _cmd_ud(args, out, err) -> int:
-    parsed = _load(args.file, err)
+def _cmd_ud(args, parsed):
     verdict = is_ud(parsed.code, max_states=args.max_states)
     if verdict.is_ud:
-        _emit(args, out, "ud", [args.file], True, {}, None, ["UD"])
-        return 0
+        return True, {}, lambda: None, ["UD"]
     left, right = verdict.witness
     word = left.concatenation
-    _emit(
-        args, out, "ud", [args.file], False,
+    return (
+        False,
         {"witness_length": len(word)},
-        {"word": word.text, "left": [w.text for w in left.factors], "right": [w.text for w in right.factors]},
+        lambda: {"word": word.text, "left": [w.text for w in left.factors], "right": [w.text for w in right.factors]},
         [f"not UD: {word.text} = {left} = {right}"],
     )
-    return 1
 
 
-def _cmd_refines(args, out, err) -> int:
-    coarse = _load(args.coarse, err)
-    fine = _load(args.fine, err)
+def _cmd_refines(args, coarse, fine):
     verdict = is_refinement(coarse.code, fine.code)
-    if verdict.holds:
-        _emit(
-            args, out, "refines", [args.coarse, args.fine], True,
-            {"kraft_coarse": kraft_sum(coarse.code), "kraft_fine": kraft_sum(fine.code)},
-            {word.text: [w.text for w in factorization.factors] for word, factorization in verdict.witnesses},
-            [f"{word.text} = {factorization}" for word, factorization in verdict.witnesses],
-        )
-        return 0
-    _emit(
-        args, out, "refines", [args.coarse, args.fine], False,
-        {},
-        {"failing_word": verdict.failing_word.text},
-        [f"not a refinement: no factorization of {verdict.failing_word.text}"],
+    if not verdict.holds:
+        failing = verdict.failing_word.text
+        return False, {}, lambda: {"failing_word": failing}, [f"not a refinement: no factorization of {failing}"]
+    return (
+        True,
+        {"kraft_coarse": kraft_sum(coarse.code), "kraft_fine": kraft_sum(fine.code)},
+        lambda: {word.text: [w.text for w in factorization.factors] for word, factorization in verdict.witnesses},
+        [f"{word.text} = {factorization}" for word, factorization in verdict.witnesses],
     )
-    return 1
 
 
-def _cmd_irredundant(args, out, err) -> int:
-    parsed = _load(args.file, err)
+def _cmd_irredundant(args, parsed):
     refinements = irredundant_refinements(parsed.code, max_candidates=_cap(args, DEFAULT_MAX_CANDIDATES))
     if args.ud_only:
         refinements = tuple(d for d in refinements if _is_ud(d, args.max_states))
-    _emit(
-        args, out, "irredundant", [args.file], True,
+    return (
+        True,
         {"count": len(refinements)},
-        {"refinements": [[t.translate(d.alphabet.symbols) for t in d.indices] for d in refinements]},
+        lambda: {"refinements": [[t.translate(d.alphabet.symbols) for t in d.indices] for d in refinements]},
         [str(d) for d in refinements],
     )
-    return 0
 
 
-def _cmd_power(args, out, err) -> int:
-    parsed = _load(args.file, err)
+def _cmd_power(args, parsed):
     result = code_power(parsed.code, args.k, max_words=_cap(args, DEFAULT_MAX_POWER_WORDS))
     text = emit_code_file(result)
-    _emit(
-        args, out, "power", [args.file], True,
+    return (
+        True,
         {"k": args.k, "cardinality": len(result), "kraft_sum": kraft_sum(result)},
-        {"words": text.split("\n")[1:-1]} if args.json else None,
+        lambda: {"words": text.split("\n")[1:-1]},
         [text[:-1]],
     )
-    return 0
 
 
-def _cmd_chain(args, out, err) -> int:
-    parsed = _load(args.file, err)
+def _cmd_chain(args, parsed):
     chain = power_chain(parsed.code, args.n, max_words=_cap(args, DEFAULT_MAX_POWER_WORDS))
     lines = []
     exact_values: dict[str, object] = {}
@@ -239,8 +207,7 @@ def _cmd_chain(args, out, err) -> int:
     lines.append(f"equal Kraft: {'true' if chain.equal_kraft else 'false'}")
     exact_values["descending"] = chain.descending
     exact_values["equal_kraft"] = chain.equal_kraft
-    _emit(args, out, "chain", [args.file], True, exact_values, None, lines)
-    return 0
+    return True, exact_values, lambda: None, lines
 
 
 def _summarize(report: PropositionReport) -> str:
@@ -266,16 +233,14 @@ def _summarize(report: PropositionReport) -> str:
         )
     if pid is PropositionId.EQUAL_KRAFT_FINITENESS:
         return f"equal-kraft-finiteness: {verdict} ({report.get('count')} equal-Kraft refinements)"
-    if pid is PropositionId.EQUAL_KRAFT_CHAIN:
-        value = report.get("kraft_sum")
-        rendered = exact_str(value) if value is not None else "-"
-        length = report.get("length")
-        return f"equal-kraft-chain: {verdict} ({length} member{'' if length == 1 else 's'}, all K = {rendered})"
-    return f"{pid.value}: {verdict}"
+    # the last of the five ids: PropositionId.EQUAL_KRAFT_CHAIN
+    value = report.get("kraft_sum")
+    rendered = exact_str(value) if value is not None else "-"
+    length = report.get("length")
+    return f"equal-kraft-chain: {verdict} ({length} member{'' if length == 1 else 's'}, all K = {rendered})"
 
 
-def _cmd_verify(args, out, err) -> int:
-    parsed = _load(args.file, err)
+def _cmd_verify(args, parsed):
     reports, notes = verify(parsed.code, args.kmax, args.max_states,
                             _cap(args, DEFAULT_MAX_POWER_WORDS), _cap(args, DEFAULT_MAX_CANDIDATES))
     passed = all(r.passed for r in reports)
@@ -283,13 +248,12 @@ def _cmd_verify(args, out, err) -> int:
     rank = {proposition.value: i for i, proposition in enumerate(PropositionId)}
     lines = sorted([*map(_summarize, reports), *notes], key=lambda line: rank[line.partition(":")[0]])
     lines.append(f"verify: {'PASS' if passed else 'FAIL'}")
-    _emit(
-        args, out, "verify", [args.file], passed,
+    return (
+        passed,
         {"kraft_sum": kraft_sum(parsed.code), "checks": len(reports)},
-        {"reports": [_report_jsonable(r) for r in reports], "notes": notes},
+        lambda: {"reports": [_report_jsonable(r) for r in reports], "notes": notes},
         lines,
     )
-    return 0 if passed else 1
 
 
 def export_hasse(code_files: Sequence[CodeFile]) -> str:
@@ -331,10 +295,9 @@ def _hasse(code_files: Sequence[CodeFile]) -> tuple[dict[str, Fraction], str, li
     return values, f"digraph refinement {{\n{dot}}}\n", edges
 
 
-def _cmd_hasse(args, out, err) -> int:
-    values, dot, edges = _hasse([_load(path, err) for path in args.files])
-    _emit(args, out, "hasse", list(args.files), True, values, {"dot": dot, "edges": edges}, dot.splitlines())
-    return 0
+def _cmd_hasse(args, *code_files):
+    values, dot, edges = _hasse(code_files)
+    return True, values, lambda: {"dot": dot, "edges": edges}, dot.splitlines()
 
 
 def _hasse_names(code_files: Sequence[CodeFile]) -> list[str]:
@@ -377,38 +340,39 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="cap on dangling-suffix states in the UD test")
     parser.add_argument("--max-tuples", type=_at_least(0), default=None, metavar="N",
                         help="cap on enumerated tuples/candidates/power words")
+    # every command's code files collect in ``files``, in command-line order
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kraft", help="exact Kraft sum of a code")
-    p.add_argument("file")
+    p.add_argument("files", action="append", metavar="file")
     p.set_defaults(handler=_cmd_kraft)
 
     p = sub.add_parser("ud", help="test unique decipherability")
-    p.add_argument("file")
+    p.add_argument("files", action="append", metavar="file")
     p.set_defaults(handler=_cmd_ud)
 
     p = sub.add_parser("refines", help="test whether FINE refines COARSE")
-    p.add_argument("coarse")
-    p.add_argument("fine")
+    p.add_argument("files", action="append", metavar="coarse")
+    p.add_argument("files", action="append", metavar="fine")
     p.set_defaults(handler=_cmd_refines)
 
     p = sub.add_parser("irredundant", help="enumerate irredundant refinements")
-    p.add_argument("file")
+    p.add_argument("files", action="append", metavar="file")
     p.add_argument("--ud-only", action="store_true", help="keep only uniquely decipherable refinements")
     p.set_defaults(handler=_cmd_irredundant)
 
     p = sub.add_parser("power", help="compute the k-th power of a code")
-    p.add_argument("file")
+    p.add_argument("files", action="append", metavar="file")
     p.add_argument("-k", type=_at_least(1), required=True, metavar="K")
     p.set_defaults(handler=_cmd_power)
 
     p = sub.add_parser("chain", help="compute the power chain C, C^2, ..., C^(2^n)")
-    p.add_argument("file")
+    p.add_argument("files", action="append", metavar="file")
     p.add_argument("-n", type=_at_least(0), required=True, metavar="N")
     p.set_defaults(handler=_cmd_chain)
 
     p = sub.add_parser("verify", help="run all proposition checks on a code")
-    p.add_argument("file")
+    p.add_argument("files", action="append", metavar="file")
     p.add_argument("--kmax", type=_at_least(2), default=3, metavar="K")
     p.set_defaults(handler=_cmd_verify)
 
@@ -422,8 +386,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def run_command(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> int:
     """Run one CLI invocation; returns the exit status.
 
-    Writes the report to ``stdout`` and diagnostics to ``stderr``
-    (defaulting to the process streams).
+    Loads the code files named in ``argv``, writes one report, human or
+    ``--json``, to ``stdout`` and diagnostics to ``stderr`` (defaulting to
+    the process streams).  The status is 0 when the command's verdict holds
+    and 1 when it does not; 2 and 3 print no report.
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
@@ -434,13 +400,25 @@ def run_command(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[s
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.handler(args, out, err)
+        verdict, exact_values, witnesses, lines = args.handler(args, *[_load(path, err) for path in args.files])
+        if args.json:
+            payload = {
+                "command": args.command,
+                "inputs": args.files,
+                "verdict": verdict,
+                "exact_values": _jsonable(exact_values),
+                "witnesses": _jsonable(witnesses()),
+            }
+            print(json.dumps(payload, indent=2, ensure_ascii=False), file=out)
+        elif lines:
+            out.write("\n".join(lines) + "\n")
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=err)
         return 3
     except (CodeFileError, UnknownSymbolError, MixedAlphabetsError, EmptyCodeError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
+    return 0 if verdict else 1
 
 
 def main() -> None:

@@ -95,6 +95,7 @@ class Word:
         ints, r = self.indices, self.alphabet.size
         if isinstance(ints, (str, bytes, bytearray)):
             raise TypeError(f"Word takes int symbol indices, not {type(ints).__name__}; parse text with Alphabet.word")
+        ints = tuple(ints)  # the checks below read it more than once
         if not ints:
             raise EmptyWordError("the null string is not a word")
         if min(ints) < 0 or max(ints) >= r:

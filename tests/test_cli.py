@@ -172,6 +172,11 @@ class TestExitCodes:
         with pytest.raises(EmptyWordError, match="null string"):
             run("kraft", fix("prefix.code"))
 
+    def test_mixed_alphabets_are_an_input_error(self, tmp_path):
+        other = tmp_path / "ab.code"
+        other.write_text("alphabet ab\nab\n")
+        assert run("refines", fix("prefix.code"), str(other)) == (2, "", "error: values are over different alphabets\n")
+
     def test_resource_limit(self):
         status, _out, err = run("--max-tuples", "100", "power", fix("prefix.code"), "-k", "20")
         assert status == 3 and "error:" in err
@@ -391,6 +396,14 @@ class TestCommands:
         assert result.stdout == "not UD: 010 = 0·10 = 01·0\n"
         assert "RuntimeWarning" not in result.stderr
 
+    def test_human_report_builds_no_json(self, monkeypatch):
+        def refuse(report):
+            raise AssertionError("a human report built a JSON witness")
+
+        monkeypatch.setattr(cli, "_report_jsonable", refuse)
+        status, out, _ = run("verify", fix("prefix.code"))
+        assert (status, out) == (0, (FIXTURES.parent / "golden" / "verify_prefix.txt").read_text())
+
     def test_verify_non_ud_out_of_hypothesis(self):
         status, out, _ = run("verify", fix("ambiguous.code"))
         assert status == 0
@@ -453,6 +466,14 @@ class TestHasse:
         other.write_text("alphabet ab\na\n")
         status, _out, err = run("hasse", fix("prefix.code"), str(other))
         assert status == 2 and "alphabet" in err
+
+    def test_same_stem_in_two_directories(self, tmp_path):
+        for directory in ("a", "b"):
+            (tmp_path / directory).mkdir()
+            (tmp_path / directory / "x.code").write_text("alphabet 01\n0\n1\n")
+        out = run("hasse", str(tmp_path / "a" / "x.code"), str(tmp_path / "b" / "x.code"))[1]
+        assert '  "x" [label="x\\nK = 1/1"];\n  "x#2" [label="x#2\\nK = 1/1"];\n' in out
+        assert "->" not in out
 
     def test_labels_carry_exact_kraft(self):
         out = run("hasse", fix("unit.code"))[1]
@@ -526,7 +547,13 @@ class TestRobustness:
             ("hasse", square, other, code, empty),
         ]
         for argv in commands:
-            assert run("--max-tuples", "2000", *argv)[0] in range(4), argv
+            status, out, _ = run("--max-tuples", "2000", *argv)
+            json_status, json_out, _ = run("--json", "--max-tuples", "2000", *argv)
+            assert status == json_status and status in range(4), argv
+            if status < 2:
+                assert json.loads(json_out)["verdict"] is (status == 0), argv
+            else:
+                assert out == json_out == "", argv
 
 
 class TestDeterminism:

@@ -103,6 +103,14 @@ class TestWord:
                 Word(alphabet, text)
         assert alphabet.word("01") == Word(alphabet, (0, 1))
 
+    def test_one_shot_iterables(self):
+        # the index checks read the input more than once
+        assert Word(BINARY, (i for i in (0, 1))) == Word(BINARY, iter([0, 1])) == BINARY.word("01")
+        with pytest.raises(EmptyWordError):
+            Word(BINARY, iter(()))
+        with pytest.raises(ValueError, match="symbol index 2 out of range"):
+            Word(BINARY, (i for i in (0, 2)))
+
     def test_shortlex_uses_symbol_index_not_codepoint(self):
         # in alphabet "ba", 'b' has index 0 and sorts before 'a'
         a = Alphabet("ba")

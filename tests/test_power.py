@@ -47,6 +47,10 @@ class TestCodePower:
         with pytest.raises(ResourceLimitError):
             code_power(bcode("0", "1"), 20, max_words=1000)
 
+    def test_zeroth_power_rejected(self):
+        with pytest.raises(ValueError, match="k must be a positive integer, got 0"):
+            code_power(bcode("0", "10"), 0)
+
     def test_first_power_is_not_capped(self):
         code = bcode("0", "10", "11")
         assert code_power(code, 1, max_words=1) is code

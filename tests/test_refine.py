@@ -11,6 +11,7 @@ from codekraft import (
     Alphabet,
     Code,
     EmptyCodeError,
+    MixedAlphabetsError,
     RefinementVerdict,
     ResourceLimitError,
     Word,
@@ -459,6 +460,20 @@ class TestIsRefinement:
             for d in corpus:
                 if c != d and is_refinement(c, d).holds and is_refinement(d, c).holds:
                     pytest.fail(f"UD antisymmetry violated by {c} and {d}")
+
+
+    def test_mixed_alphabets_rejected(self):
+        other = Code(Alphabet("ab"), [Alphabet("ab").word("ab")])
+        word = BINARY.word("01")
+        for decide, args in (
+            (refines, (bcode("01"), other)),
+            (refines, (other, bcode("01"))),
+            (is_refinement, (bcode("01"), other)),
+            (first_factorization, (word, other)),
+            (factorizations, (word, other)),
+        ):
+            with pytest.raises(MixedAlphabetsError, match="different alphabets"):
+                decide(*args)
 
 
 class TestIrredundance:
