@@ -4,6 +4,12 @@ Exit codes: 0 = property holds / success, 1 = property fails (not UD, not
 a refinement, failed verification), 2 = usage or input error, 3 =
 resource limit.  Any other exception is a bug and propagates.  All behavior
 is flag-driven; there are no configuration files or environment variables.
+
+The grammar is one table, ``_OPTIONS`` and ``_COMMANDS``.  ``_match`` reads
+it to accept argv spelled exactly (top-level options before the command,
+its own after it, valid values, no file starting with ``-``).  argparse,
+built from the same table, parses everything else (abbreviations,
+``--opt=value``, ``--``, ``-h``, usage errors) and writes help and usage.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Sequence
 
-from .core import Alphabet, Code, Key, Word
+from .core import Alphabet, Code, Key
 from .decipher import DEFAULT_MAX_STATES, _is_ud, is_ud
 from .errors import (
     CodeFileError,
@@ -57,7 +63,7 @@ def parse_code_file(text: str | bytes, path: str | None = None) -> CodeFile:
         except UnicodeDecodeError as exc:
             raise CodeFileError(str(exc), line=text.count(b"\n", 0, exc.start) + 1) from exc
     alphabet: Alphabet | None = None
-    words: dict[Key, Word] = {}
+    keys: dict[Key, None] = {}  # insertion-ordered
     warnings: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -75,20 +81,22 @@ def parse_code_file(text: str | bytes, path: str | None = None) -> CodeFile:
                 alphabet = Alphabet(parts[1])
             except ValueError as exc:
                 raise CodeFileError(str(exc), line=lineno) from exc
+            table = alphabet._keys
             continue
-        if len(line.split()) != 1:
-            raise CodeFileError(f"expected one word per line, got {line!r}", line=lineno)
         try:
-            word = alphabet.word(line)
+            key = line.translate(table)
         except UnknownSymbolError as exc:
+            # no symbol is whitespace, so a line of two tokens fails here
+            if len(line.split()) != 1:
+                raise CodeFileError(f"expected one word per line, got {line!r}", line=lineno) from None
             raise UnknownSymbolError(exc.symbol, line=lineno) from exc
-        if word.indices in words:
+        if key in keys:
             warnings.append(f"line {lineno}: duplicate word {line!r}")
             continue
-        words[word.indices] = word
+        keys[key] = None
     if alphabet is None:
         raise MissingAlphabetError("code file declares no alphabet")
-    return CodeFile(path, Code(alphabet, words.values()), tuple(warnings))
+    return CodeFile(path, Code._from_indices(alphabet, keys), tuple(warnings))
 
 
 def emit_code_file(code: Code) -> str:
@@ -297,7 +305,7 @@ def _hasse(code_files: Sequence[CodeFile]) -> tuple[dict[str, Fraction], str, li
 
 def _cmd_hasse(args, *code_files):
     values, dot, edges = _hasse(code_files)
-    return True, values, lambda: {"dot": dot, "edges": edges}, dot.splitlines()
+    return True, values, lambda: {"dot": dot, "edges": edges}, [dot[:-1]]
 
 
 def _hasse_names(code_files: Sequence[CodeFile]) -> list[str]:
@@ -327,60 +335,95 @@ def _at_least(low: int):
     return integer
 
 
+# The one command-line grammar, read by _build_parser and _match: each
+# option string maps to its add_argument keywords, and each command to its
+# help, handler, file metavars (None: one or more files) and options.
+_OPTIONS = {
+    "--json": dict(action="store_true", default=False, help="emit one JSON object instead of the human report"),
+    "--max-states": dict(type=_at_least(0), default=DEFAULT_MAX_STATES, metavar="N",
+                         help="cap on dangling-suffix states in the UD test"),
+    "--max-tuples": dict(type=_at_least(0), default=None, metavar="N",
+                         help="cap on enumerated tuples/candidates/power words"),
+}
+_COMMANDS = {
+    "kraft": ("exact Kraft sum of a code", _cmd_kraft, ("file",), {}),
+    "ud": ("test unique decipherability", _cmd_ud, ("file",), {}),
+    "refines": ("test whether FINE refines COARSE", _cmd_refines, ("coarse", "fine"), {}),
+    "irredundant": ("enumerate irredundant refinements", _cmd_irredundant, ("file",), {
+        "--ud-only": dict(action="store_true", default=False, help="keep only uniquely decipherable refinements"),
+    }),
+    "power": ("compute the k-th power of a code", _cmd_power, ("file",),
+              {"-k": dict(type=_at_least(1), required=True, metavar="K")}),
+    "chain": ("compute the power chain C, C^2, ..., C^(2^n)", _cmd_chain, ("file",),
+              {"-n": dict(type=_at_least(0), required=True, metavar="N")}),
+    "verify": ("run all proposition checks on a code", _cmd_verify, ("file",),
+               {"--kmax": dict(type=_at_least(2), default=3, metavar="K")}),
+    "hasse": ("DOT export of covering relations among codes", _cmd_hasse, None, {}),
+}
+
+
+@functools.cache
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # Built on the first run_command call and reused: parse_args leaves the
-    # parser unchanged and returns a fresh Namespace every time.
+    # built for the first argv _match declines, and reused: parse_args leaves it unchanged
     parser = argparse.ArgumentParser(
         prog="codekraft",
         description="Exact Kraft sums, unique-decipherability tests, and the refinement order on codes.",
     )
-    parser.add_argument("--json", action="store_true", help="emit one JSON object instead of the human report")
-    parser.add_argument("--max-states", type=_at_least(0), default=DEFAULT_MAX_STATES, metavar="N",
-                        help="cap on dangling-suffix states in the UD test")
-    parser.add_argument("--max-tuples", type=_at_least(0), default=None, metavar="N",
-                        help="cap on enumerated tuples/candidates/power words")
+    for flag, spec in _OPTIONS.items():
+        parser.add_argument(flag, **spec)
     # every command's code files collect in ``files``, in command-line order
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("kraft", help="exact Kraft sum of a code")
-    p.add_argument("files", action="append", metavar="file")
-    p.set_defaults(handler=_cmd_kraft)
-
-    p = sub.add_parser("ud", help="test unique decipherability")
-    p.add_argument("files", action="append", metavar="file")
-    p.set_defaults(handler=_cmd_ud)
-
-    p = sub.add_parser("refines", help="test whether FINE refines COARSE")
-    p.add_argument("files", action="append", metavar="coarse")
-    p.add_argument("files", action="append", metavar="fine")
-    p.set_defaults(handler=_cmd_refines)
-
-    p = sub.add_parser("irredundant", help="enumerate irredundant refinements")
-    p.add_argument("files", action="append", metavar="file")
-    p.add_argument("--ud-only", action="store_true", help="keep only uniquely decipherable refinements")
-    p.set_defaults(handler=_cmd_irredundant)
-
-    p = sub.add_parser("power", help="compute the k-th power of a code")
-    p.add_argument("files", action="append", metavar="file")
-    p.add_argument("-k", type=_at_least(1), required=True, metavar="K")
-    p.set_defaults(handler=_cmd_power)
-
-    p = sub.add_parser("chain", help="compute the power chain C, C^2, ..., C^(2^n)")
-    p.add_argument("files", action="append", metavar="file")
-    p.add_argument("-n", type=_at_least(0), required=True, metavar="N")
-    p.set_defaults(handler=_cmd_chain)
-
-    p = sub.add_parser("verify", help="run all proposition checks on a code")
-    p.add_argument("files", action="append", metavar="file")
-    p.add_argument("--kmax", type=_at_least(2), default=3, metavar="K")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("hasse", help="DOT export of covering relations among codes")
-    p.add_argument("files", nargs="+")
-    p.set_defaults(handler=_cmd_hasse)
-
+    for name, (help_, handler, metavars, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for metavar in metavars or ():
+            p.add_argument("files", action="append", metavar=metavar)
+        if metavars is None:
+            p.add_argument("files", nargs="+")
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
+        p.set_defaults(handler=handler)
     return parser
+
+
+def _match(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse builds for ``argv`` when each option in it is
+    spelled exactly, in its place, with a valid value; otherwise None."""
+    values = {_dest(flag): spec["default"] for flag, spec in _OPTIONS.items()}
+    options, files, command = _OPTIONS, [], None
+    tokens = iter(argv)
+    for token in tokens:
+        spec = options.get(token)
+        if spec is not None and "type" not in spec:
+            values[_dest(token)] = True
+        elif spec is not None:
+            text = next(tokens, "-")
+            if text.startswith("-"):
+                return None
+            try:
+                values[_dest(token)] = spec["type"](text)
+            except (ValueError, argparse.ArgumentTypeError):
+                return None
+        elif token.startswith("-"):
+            return None
+        elif command is not None:
+            files.append(token)
+        elif token in _COMMANDS:
+            command = token
+            _help, handler, metavars, options = _COMMANDS[token]
+            values.update((_dest(flag), spec.get("default")) for flag, spec in options.items())
+        else:
+            return None
+    if (command is None or (len(files) != len(metavars) if metavars else not files)
+            or any(spec.get("required") and values[_dest(flag)] is None for flag, spec in options.items())):
+        return None
+    args = argparse.Namespace()
+    vars(args).update(values, command=command, files=files, handler=handler)
+    return args
 
 
 def run_command(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> int:
@@ -393,12 +436,14 @@ def run_command(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[s
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    argv = list(argv)
+    args = _match(argv)
+    if args is None:
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
     try:
         verdict, exact_values, witnesses, lines = args.handler(args, *[_load(path, err) for path in args.files])
         if args.json:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -108,9 +109,13 @@ class TestExitCodes:
         assert run()[0] == 2
         assert run("ud")[0] == 2
 
-    def test_missing_file(self):
-        status, _out, err = run("ud", fix("nope.code"))
-        assert status == 2 and "error:" in err
+    def test_missing_file(self, tmp_path, monkeypatch):
+        # the message names the path as pathlib normalizes it
+        monkeypatch.chdir(tmp_path)
+        for path, shown in ((str(FIXTURES) + "/./nope.code", str(FIXTURES / "nope.code")), ("./nope.code", "nope.code")):
+            status, out, err = run("ud", path)
+            assert (status, out) == (2, "")
+            assert err == f"error: [Errno 2] No such file or directory: {shown!r}\n"
 
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.code"
@@ -265,9 +270,112 @@ class TestParserReuse:
         built = []
         build = cli._build_parser
         monkeypatch.setattr(cli, "_build_parser", lambda: built.append(build()) or built[-1])
-        run("kraft", fix("prefix.code"))
-        run("ud", fix("prefix.code"))
+        # abbreviated options reach argparse; exact spellings never build it
+        run("--js", "kraft", fix("prefix.code"))
+        run("--max-s=5", "ud", fix("prefix.code"))
         assert len(built) == 2 and built[0] is built[1]
+
+
+def _argparse_namespace(argv):
+    """What the argparse parser makes of ``argv``: its namespace's vars, or None if it exits."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(cli._build_parser().parse_args(list(argv)))
+    except SystemExit:
+        return None
+
+
+# the grammar, restated: command -> (file count, required options, optional ones)
+_GRAMMAR = {
+    "kraft": (1, [], []), "ud": (1, [], []), "refines": (2, [], []), "irredundant": (1, [], ["--ud-only"]),
+    "power": (1, ["-k"], []), "chain": (1, ["-n"], []), "verify": (1, [], ["--kmax"]), "hasse": (3, [], []),
+}
+_TAKES_VALUE = {"--max-states", "--max-tuples", "-k", "-n", "--kmax"}
+_VALUES = ["0", "1", "2", "3", "2000", "1_000", "\u0663", " 2", "-1", "-0", "-0_0", "x", ""]
+_OTHER_TOKENS = [
+    "--js", "--max-s", "--max-t", "--max", "--json=1", "--max-states=5", "--max-t=2000", "--ud", "-k2", "-k=3",
+    "-n1", "--n", "--km", "--kmax=4", "-h", "--help", "--", "-", "verif", "nope", "a=b", "verify", *_GRAMMAR,
+    *_TAKES_VALUE, "--json", "--ud-only",
+]
+
+
+@st.composite
+def argvs(draw):
+    """An exactly spelled argv, or one with up to three tokens replaced,
+    inserted or deleted: abbreviations, ``=`` forms, ``--``, bad values,
+    repeated and misplaced options."""
+    name = draw(st.sampled_from(sorted(_GRAMMAR)))
+    files, required, optional = _GRAMMAR[name]
+
+    def pieces(flags):
+        # each option spelled exactly, or as a prefix, with "=" or attached to its value
+        out = []
+        for flag in flags:
+            spelled = flag if draw(st.booleans()) else draw(st.sampled_from([flag[:n] for n in range(3, len(flag))] or [flag]))
+            if flag not in _TAKES_VALUE:
+                out.append([spelled])
+                continue
+            value = draw(st.sampled_from(_VALUES))
+            joiner = draw(st.sampled_from([None, "=", ""] if len(flag) == 2 else [None, "="]))
+            out.append([spelled, value] if joiner is None else [spelled + joiner + value])
+        return out
+
+    head = pieces(draw(st.lists(st.sampled_from(["--json", "--max-states", "--max-tuples"]), max_size=3)))
+    tail = [[draw(st.sampled_from(["a.code", "b.code", "verify", ""]))] for _ in range(files)]
+    tail += pieces(required + draw(st.lists(st.sampled_from(optional), max_size=2)) if optional else required)
+    argv = [t for piece in [*head, [name], *draw(st.permutations(tail))] for t in piece]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        token = draw(st.sampled_from(_OTHER_TOKENS + _VALUES))
+        if edit == "insert":
+            argv.insert(i, token)
+        elif i < len(argv):
+            argv[i:i + 1] = [token] if edit == "replace" else []
+    return argv
+
+
+class TestArgvMatcher:
+    """The exact matcher agrees with argparse wherever it answers."""
+
+    @seed(20261020)
+    @settings(max_examples=600, deadline=None)
+    @given(argvs())
+    def test_matches_argparse_or_declines(self, argv):
+        matched = cli._match(argv)
+        if matched is not None:
+            assert vars(matched) == _argparse_namespace(argv), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kraft", "a.code"],
+            ["--json", "--max-states", "0", "--max-tuples", "2000", "ud", "a.code"],
+            ["--max-states", "5", "--max-states", "\u0663", "refines", "a.code", "b.code"],
+            ["irredundant", "--ud-only", "a.code", "--ud-only"],
+            ["power", "a.code", "-k", "1_000"],
+            ["power", "-k", "2", "a.code", "-k", " 3"],
+            ["chain", "-n", "0", "verify"],
+            ["verify", "--kmax", "2", "a=b"],
+            ["verify", ""],
+            ["hasse", "a.code", "b.code", "a.code"],
+        ],
+    )
+    def test_accepts_exact_spellings(self, argv):
+        matched = cli._match(argv)
+        assert matched is not None and vars(matched) == _argparse_namespace(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["--json"], ["kraft"], ["ud", "a.code", "b.code"], ["power", "a.code"], ["power", "a.code", "-k", "0"],
+            ["chain", "a.code", "-n", "-0"], ["verify", "a.code", "--kmax"], ["--js", "kraft", "a.code"],
+            ["kraft", "--json", "a.code"], ["--kmax", "3", "verify", "a.code"], ["ud", "--", "a.code"], ["ud", "-"],
+            ["verify", "a.code", "--kmax=3"], ["power", "a.code", "-k3"], ["nope", "a.code"], ["hasse"], ["kraft", "-h"],
+        ],
+    )
+    def test_declines_everything_else(self, argv):
+        assert cli._match(argv) is None
 
 
 class TestCommands:
@@ -322,8 +430,7 @@ class TestCommands:
     @pytest.mark.parametrize("flags", [(), ("--json",)])
     @pytest.mark.parametrize("argv", [("power", fix("prefix.code"), "-k", "3"), ("irredundant", fix("prefix.code"))])
     def test_printing_builds_no_word_index(self, argv, flags, monkeypatch):
-        # key-built codes print from their keys; parsed codes fill
-        # their index in __init__, so the patch leaves them alone
+        # parsed codes are key-built too, and every code prints from its keys
         def refuse(self):
             raise AssertionError(f"factor index built for {self.indices}")
 
@@ -498,6 +605,15 @@ class TestHasse:
         assert '  "b\\\\s" [label="b\\\\s\\nK = 1/1"];\n' in out
         assert '  "q\\"x" -> "b\\\\s";\n' in out
 
+    def test_line_separators_in_names_print_as_in_json(self, tmp_path):
+        # str.splitlines would also split the name at "\r"
+        odd = tmp_path / "a\rb.code"
+        odd.write_text("alphabet 01\n0\n1\n")
+        status, out, _ = run("hasse", str(odd), fix("prefix.code"))
+        payload = json.loads(run("--json", "hasse", str(odd), fix("prefix.code"))[1])
+        assert status == 0 and out == payload["witnesses"]["dot"]
+        assert '  "a\rb" [label="a\rb\\nK = 1/1"];\n' in out
+
     def test_export_deterministic(self):
         parsed = [
             parse_code_file((FIXTURES / n).read_bytes(), path=str(FIXTURES / n))
@@ -530,30 +646,39 @@ class TestRobustness:
             path.write_text(f"alphabet {symbols}\n" + "".join(f"{w}\n" for w in members))
             files.append(str(path))
         code, other, square, empty = files
+        # each command spelled exactly, and with spellings only argparse reads
         commands = [
-            ("kraft", code),
-            ("ud", code),
-            ("refines", code, other),
-            ("refines", square, other),
-            ("refines", other, square),
-            ("refines", square, empty),
-            ("irredundant", code),
-            ("irredundant", "--ud-only", code),
-            ("power", "-k", "2", code),
-            ("power", "-k", "2", square),
-            ("chain", "-n", "1", code),
-            ("chain", "-n", "1", square),
-            ("verify", code),
-            ("hasse", square, other, code, empty),
+            (("kraft", code), ("kraft", "--", code)),
+            (("ud", code), ("ud", code)),
+            (("refines", code, other), ("refines", code, other)),
+            (("refines", square, other), ("refines", square, other)),
+            (("refines", other, square), ("refines", "--", other, square)),
+            (("refines", square, empty), ("refines", square, empty)),
+            (("irredundant", code), ("irredundant", code)),
+            (("irredundant", "--ud-only", code), ("irredundant", code, "--ud")),
+            (("power", "-k", "2", code), ("power", "-k2", code)),
+            (("power", "-k", "2", square), ("power", square, "-k=2")),
+            (("chain", "-n", "1", code), ("chain", "-n1", code)),
+            (("chain", "-n", "1", square), ("chain", square, "-n=1")),
+            (("verify", code), ("verify", "--kmax=3", code)),
+            (("hasse", square, other, code, empty), ("hasse", square, other, code, empty)),
         ]
-        for argv in commands:
-            status, out, _ = run("--max-tuples", "2000", *argv)
-            json_status, json_out, _ = run("--json", "--max-tuples", "2000", *argv)
-            assert status == json_status and status in range(4), argv
-            if status < 2:
-                assert json.loads(json_out)["verdict"] is (status == 0), argv
-            else:
-                assert out == json_out == "", argv
+        for states in ((), ("--max-states", "0"), ("--max-states", "1")):
+            loose_states = tuple(f"--max-s={value}" for value in states[1:])
+            for exact, loose in commands:
+                exact = ("--max-tuples", "2000", *states, *exact)
+                assert cli._match(exact) is not None, exact
+                status, out, err = run(*exact)
+                json_status, json_out, json_err = run("--json", *exact)
+                assert status == json_status and status in range(4), exact
+                if status < 2:
+                    assert json.loads(json_out)["verdict"] is (status == 0), exact
+                else:
+                    assert out == json_out == "", exact
+                loose = ("--max-t=2000", *loose_states, *loose)
+                assert cli._match(loose) is None and cli._match(("--js", *loose)) is None, loose
+                assert run(*loose) == (status, out, err), loose
+                assert run("--js", *loose) == (json_status, json_out, json_err), loose
 
 
 class TestDeterminism:
