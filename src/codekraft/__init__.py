@@ -12,7 +12,7 @@ from .core import (
     Word,
     concat,
 )
-from .decipher import UdVerdict, is_ud, is_ud_bruteforce
+from .decipher import UdVerdict, is_ud
 from .errors import (
     CertificateError,
     ChainViolationError,
@@ -40,13 +40,10 @@ from .props import (
     verify,
 )
 from .refine import (
-    RefinementVerdict,
-    cover_exponent_bound,
     factorizations,
     first_factorization,
     irredundant_refinements,
     is_irredundant_refinement,
-    is_refinement,
     refines,
 )
 from .cli import CodeFile, emit_code_file, export_hasse, parse_code_file, run_command
@@ -70,7 +67,6 @@ __all__ = [
     "PowerChain",
     "PropositionId",
     "PropositionReport",
-    "RefinementVerdict",
     "ResourceLimitError",
     "UdVerdict",
     "UnknownSymbolError",
@@ -83,7 +79,6 @@ __all__ = [
     "check_power_law",
     "code_power",
     "concat",
-    "cover_exponent_bound",
     "emit_code_file",
     "equal_kraft_refinements",
     "exact_str",
@@ -92,9 +87,7 @@ __all__ = [
     "first_factorization",
     "irredundant_refinements",
     "is_irredundant_refinement",
-    "is_refinement",
     "is_ud",
-    "is_ud_bruteforce",
     "kraft_sum",
     "parse_code_file",
     "power_chain",

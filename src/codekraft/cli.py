@@ -37,7 +37,7 @@ from .errors import (
 from .kraft import approx_str, exact_str, kraft_sum
 from .power import DEFAULT_MAX_POWER_WORDS, code_power, power_chain
 from .props import PropositionId, PropositionReport, verify
-from .refine import DEFAULT_MAX_CANDIDATES, irredundant_refinements, is_refinement, refines
+from .refine import DEFAULT_MAX_CANDIDATES, _require_same_alphabet, first_factorization, irredundant_refinements, refines
 
 
 @dataclass(frozen=True)
@@ -165,15 +165,19 @@ def _cmd_ud(args, parsed):
 
 
 def _cmd_refines(args, coarse, fine):
-    verdict = is_refinement(coarse.code, fine.code)
-    if not verdict.holds:
-        failing = verdict.failing_word.text
-        return False, {}, lambda: {"failing_word": failing}, [f"not a refinement: no factorization of {failing}"]
+    _require_same_alphabet(coarse.code, fine.code)
+    witnesses = []
+    for word in coarse.code.words:
+        factorization = first_factorization(word, fine.code)
+        if factorization is None:
+            failing = word.text
+            return False, {}, lambda: {"failing_word": failing}, [f"not a refinement: no factorization of {failing}"]
+        witnesses.append((word, factorization))
     return (
         True,
         {"kraft_coarse": kraft_sum(coarse.code), "kraft_fine": kraft_sum(fine.code)},
-        lambda: {word.text: [w.text for w in factorization.factors] for word, factorization in verdict.witnesses},
-        [f"{word.text} = {factorization}" for word, factorization in verdict.witnesses],
+        lambda: {word.text: [w.text for w in factorization.factors] for word, factorization in witnesses},
+        [f"{word.text} = {factorization}" for word, factorization in witnesses],
     )
 
 

@@ -4,19 +4,16 @@ A code is uniquely decipherable (UD) when no two distinct sequences of
 code words concatenate to the same word.  :func:`is_ud` decides this with
 the Sardinas-Patterson dangling-suffix iteration and, on failure, emits a
 concrete collision pair so every "not UD" claim is independently
-checkable.  :func:`is_ud_bruteforce` is a bounded exhaustive oracle used
-to cross-check the production procedure.
+checkable.  The tests cross-check it against a bounded exhaustive oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional
 
-from .core import Code, Factorization, Key, Word
+from .core import Code, Factorization, Key
 from .errors import CertificateError, ResourceLimitError
-from .refine import factorizations
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -150,66 +147,4 @@ def _reconstruct(code: Code, parents: dict, terminal: Key):
     right = Factorization(tuple(map(words.__getitem__, ahead)))
     if left.concatenation != right.concatenation or left == right:
         raise CertificateError(f"reconstructed collision {left} / {right} is not a collision")
-    return _ordered_pair(left, right)
-
-
-def is_ud_bruteforce(code: Code, max_total_len: int) -> UdVerdict:
-    """Exhaustive bounded oracle for unique decipherability.
-
-    Examines every word of length at most ``max_total_len`` for two
-    distinct factorizations into code words (equivalently, two distinct
-    word sequences with equal concatenation inside the bound).  The
-    verdict is conclusive for "not UD"; for "UD" it is conclusive only
-    relative to the bound.
-
-    Words are swept breadth-first in shortlex order.  Prefixes whose
-    trailing symbols and trailing factorization counts coincide evolve
-    identically, so they are merged; counts are capped at 2, which is
-    exact for detecting ambiguity.  This covers the full bounded word
-    space without materializing it.
-    """
-    if max_total_len < 1:
-        raise ValueError(f"max_total_len must be positive, got {max_total_len}")
-    if len(code) == 0:
-        return UdVerdict(True)
-    r = code.alphabet.size
-    maxlen = code.max_len()
-    words, lengths = code.factor_index()
-    # state: (last maxlen-1 symbols, counts of factorizations ending at the
-    # last maxlen boundary positions, capped at 2); value: smallest prefix
-    start = ("", (0,) * (maxlen - 1) + (1,))
-    frontier: dict[tuple, Key] = {start: ""}
-    for _depth in range(1, max_total_len + 1):
-        next_frontier: dict[tuple, Key] = {}
-        collisions: list[Key] = []
-        for (window, counts), prefix in sorted(frontier.items(), key=lambda kv: kv[1]):
-            for s in map(chr, range(r)):
-                appended = window + s
-                total = 0
-                for length in lengths:
-                    if length > len(appended):
-                        break
-                    if counts[maxlen - length] and appended[-length:] in words:
-                        total += counts[maxlen - length]
-                new_count = min(total, 2)
-                word = prefix + s
-                if new_count >= 2:
-                    collisions.append(word)
-                    continue
-                new_counts = counts[1:] + (new_count,)
-                if not any(new_counts):
-                    continue
-                new_window = appended[-(maxlen - 1) :] if maxlen > 1 else ""
-                next_frontier.setdefault((new_window, new_counts), word)
-        if collisions:
-            return UdVerdict(False, _bruteforce_witness(code, min(collisions)))
-        if not next_frontier:
-            break
-        frontier = next_frontier
-    return UdVerdict(True)
-
-
-def _bruteforce_witness(code: Code, word: Key):
-    # the two least compositions, not the first two in shortlex order
-    left, right, *_ = sorted(factorizations(Word._from_key(code.alphabet, word), code), key=attrgetter("composition"))
     return _ordered_pair(left, right)

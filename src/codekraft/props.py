@@ -33,10 +33,8 @@ from .power import DEFAULT_MAX_POWER_WORDS, code_power
 from .refine import (
     DEFAULT_MAX_CANDIDATES,
     _first_factors,
-    cover_exponent_bound,
     irredundant_refinements,
     is_irredundant_refinement,
-    is_refinement,
     refines,
 )
 
@@ -103,8 +101,8 @@ def check_mcmillan(code: Code, kmax: int = 3) -> PropositionReport:
     passed = value <= 1
     details.append(("status", "bound asserted" if passed else "bound violated"))
     if len(code):
-        unit = unit_code(code.alphabet)
-        m = cover_exponent_bound(code, unit)
+        # against the unit code, whose words all have length 1
+        m = code.max_len()
         details.append(("cover_exponent_m", m))
         for k in range(1, kmax + 1):
             lhs = value**k
@@ -189,10 +187,11 @@ def check_monotonicity(
         raise ValueError("monotonicity check requires a UD coarse code")
     if not _is_ud(fine):
         raise ValueError("monotonicity check requires a UD fine code")
+    words, lengths = fine.factor_index()
     if not refines(coarse, fine):
+        failing = next(t for t in coarse.indices if _first_factors(t, words, lengths) is None)
         raise NotRefinementError(
-            f"{fine} does not refine {coarse}: no factorization of "
-            f"{is_refinement(coarse, fine).failing_word.text!r}"
+            f"{fine} does not refine {coarse}: no factorization of {failing.translate(coarse.alphabet.symbols)!r}"
         )
     value_coarse = kraft_sum(coarse)
     value_fine = kraft_sum(fine)
@@ -203,11 +202,10 @@ def check_monotonicity(
     parameters: list[Detail] = [("kmax", kmax), ("max_power_words", max_power_words)]
     passed = True
     if len(coarse) and len(fine):
-        m = cover_exponent_bound(coarse, fine)
+        m = coarse.max_len() // fine.min_len()
         details.append(("cover_exponent_m", m))
         effective = _effective_kmax(len(coarse), kmax, max_power_words)
         parameters.append(("effective_kmax", effective))
-        words, lengths = fine.factor_index()
         for k in range(1, effective + 1):
             power = code_power(coarse, k, max_power_words)
             for t in power.indices:

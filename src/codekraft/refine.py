@@ -30,37 +30,16 @@ Three searches cut words at the boundaries of code words, one per question:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import compress
 from operator import itemgetter, not_, or_
 from typing import Callable, Optional, Sequence
 
 from .core import Code, Factorization, Key, Word
-from .errors import EmptyCodeError, MixedAlphabetsError, ResourceLimitError
+from .errors import MixedAlphabetsError, ResourceLimitError
 
 DEFAULT_MAX_FACTORIZATIONS = 10_000
 DEFAULT_MAX_CANDIDATES = 1_000_000
-
-
-@dataclass(frozen=True, slots=True)
-class RefinementVerdict:
-    """Outcome of a refinement test.
-
-    When the relation holds, ``witnesses`` maps every coarse word (in
-    shortlex order) to one factorization over the fine code; otherwise
-    ``failing_word`` is a coarse word with no factorization.
-    """
-
-    holds: bool
-    witnesses: Optional[tuple[tuple[Word, Factorization], ...]] = None
-    failing_word: Optional[Word] = None
-
-    def __post_init__(self):
-        if self.holds and self.witnesses is None:
-            raise ValueError("a holding verdict needs witnesses")
-        if not self.holds and self.witnesses is not None:
-            raise ValueError("a failing verdict carries no witnesses")
 
 
 def _require_same_alphabet(a, b):
@@ -249,29 +228,12 @@ def first_factorization(word: Word, code: Code) -> Optional[Factorization]:
     return Factorization(tuple(map(words.__getitem__, factors)))
 
 
-def is_refinement(coarse: Code, fine: Code) -> RefinementVerdict:
-    """Decide whether ``fine`` refines ``coarse`` (coarse <= fine).
-
-    Holds iff every coarse word factors over the fine code; one witness per
-    word is retained, the first in canonical order.  Every coarse word is
-    factored over the same ``fine.factor_index()``, built once per code.
-    :func:`refines` gives the same verdict without building witnesses.
-    """
-    _require_same_alphabet(coarse, fine)
-    witnesses = []
-    for word in coarse.words:
-        factorization = first_factorization(word, fine)
-        if factorization is None:
-            return RefinementVerdict(False, failing_word=word)
-        witnesses.append((word, factorization))
-    return RefinementVerdict(True, tuple(witnesses))
-
-
 def refines(coarse: Code, fine: Code) -> bool:
     """Whether ``fine`` refines ``coarse`` (coarse <= fine).
 
-    The verdict of :func:`is_refinement`, without witnesses, decided for all
-    coarse words at once by their first cut, since F+ = F·F*: a word
+    Holds iff every coarse word factors over ``fine``.  No witnesses are
+    built: :func:`first_factorization` gives one per word.  All coarse
+    words are decided at once by their first cut, since F+ = F·F*: a word
     factors iff some fine word is a head of it and the remainder is empty or
     factors.  Each level finds its keys' heads (:func:`_heads`) and cuts
     them off (:func:`_cut`); the distinct tails, strictly shorter keys, make
@@ -346,19 +308,6 @@ def is_irredundant_refinement(coarse: Code, fine: Code) -> bool:
         if all(removed not in canonical(t) or _first_factors(t, rest, lengths) is not None for t in coarse.indices):
             return False
     return True
-
-
-def cover_exponent_bound(coarse: Code, fine: Code) -> int:
-    """The exponent bound m = maxlen(coarse) // minlen(fine).
-
-    For a refining pair, every coarse word is a concatenation of between 1
-    and m fine words, so coarse is disjoint from the n-fold concatenations
-    of fine for every n > m.
-    """
-    if len(coarse) == 0 or len(fine) == 0:
-        raise EmptyCodeError("cover exponent needs nonempty codes")
-    _require_same_alphabet(coarse, fine)
-    return coarse.max_len() // fine.min_len()
 
 
 def _composition_block_sets(idx: Key, max_candidates: int) -> set[frozenset[Key]]:

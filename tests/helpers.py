@@ -5,8 +5,9 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from operator import attrgetter
 
-from codekraft import Alphabet, Code, Word, concat, is_ud
+from codekraft import Alphabet, Code, UdVerdict, Word, concat, factorizations, is_ud
 
 BINARY = Alphabet("01")
 
@@ -72,6 +73,69 @@ def splitter(word: Word, code: Code):
     results = [tuple(key_word(word.alphabet, t) for t in seq) for seq in walk(idx)]
     results.sort(key=lambda seq: (len(seq), tuple(len(w) for w in seq)))
     return results
+
+
+def is_ud_bruteforce(code: Code, max_total_len: int) -> UdVerdict:
+    """Exhaustive bounded oracle for unique decipherability.
+
+    Examines every word of length at most ``max_total_len`` for two
+    distinct factorizations into code words (equivalently, two distinct
+    word sequences with equal concatenation inside the bound).  The
+    verdict is conclusive for "not UD"; for "UD" it is conclusive only
+    relative to the bound.
+
+    Words are swept breadth-first in shortlex order.  Prefixes whose
+    trailing symbols and trailing factorization counts coincide evolve
+    identically, so they are merged; counts are capped at 2, which is
+    exact for detecting ambiguity.  This covers the full bounded word
+    space without materializing it.
+    """
+    if max_total_len < 1:
+        raise ValueError(f"max_total_len must be positive, got {max_total_len}")
+    if len(code) == 0:
+        return UdVerdict(True)
+    r = code.alphabet.size
+    maxlen = code.max_len()
+    words, lengths = code.factor_index()
+    # state: (last maxlen-1 symbols, counts of factorizations ending at the
+    # last maxlen boundary positions, capped at 2); value: smallest prefix
+    start = ("", (0,) * (maxlen - 1) + (1,))
+    frontier: dict[tuple, str] = {start: ""}
+    for _depth in range(1, max_total_len + 1):
+        next_frontier: dict[tuple, str] = {}
+        collisions: list[str] = []
+        for (window, counts), prefix in sorted(frontier.items(), key=lambda kv: kv[1]):
+            for s in map(chr, range(r)):
+                appended = window + s
+                total = 0
+                for length in lengths:
+                    if length > len(appended):
+                        break
+                    if counts[maxlen - length] and appended[-length:] in words:
+                        total += counts[maxlen - length]
+                new_count = min(total, 2)
+                word = prefix + s
+                if new_count >= 2:
+                    collisions.append(word)
+                    continue
+                new_counts = counts[1:] + (new_count,)
+                if not any(new_counts):
+                    continue
+                new_window = appended[-(maxlen - 1) :] if maxlen > 1 else ""
+                next_frontier.setdefault((new_window, new_counts), word)
+        if collisions:
+            return UdVerdict(False, _bruteforce_witness(code, min(collisions)))
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    return UdVerdict(True)
+
+
+def _bruteforce_witness(code: Code, key: str):
+    # the two least compositions, not the first two in shortlex order,
+    # ordered as is_ud orders its witness pair
+    left, right, *_ = sorted(factorizations(key_word(code.alphabet, key), code), key=attrgetter("composition"))
+    return tuple(sorted((left, right), key=attrgetter("sort_key")))
 
 
 @functools.cache
@@ -184,6 +248,13 @@ def ud_by_tuples(tuples) -> bool:
 def factors_by_tuples(t: tuple[int, ...], fine) -> bool:
     """Whether the int tuple ``t`` is a concatenation of tuples of ``fine``."""
     return not t or any(t[: len(f)] == f and factors_by_tuples(t[len(f) :], fine) for f in fine)
+
+
+def refines_by_tuples(coarse: Code, fine: Code) -> bool:
+    """Whether every word of ``coarse`` is a concatenation of ``fine`` words,
+    decided over int tuples."""
+    fine_tuples = set(index_tuples(fine))
+    return all(factors_by_tuples(t, fine_tuples) for t in index_tuples(coarse))
 
 
 def power_by_tuples(tuples, k: int) -> list[tuple[int, ...]]:

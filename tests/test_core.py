@@ -1,8 +1,10 @@
 """Value-type behavior: parsing, ordering, validation, exact arithmetic."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -273,12 +275,12 @@ class TestPublicApi:
         "Alphabet", "CertificateError", "ChainViolationError", "Code", "CodeError", "CodeFile",
         "CodeFileError", "EmptyCodeError", "EmptyWordError", "Factorization", "MissingAlphabetError",
         "MixedAlphabetsError", "NotRefinementError", "PowerChain", "PropositionId", "PropositionReport",
-        "RefinementVerdict", "ResourceLimitError", "UdVerdict", "UnknownSymbolError", "Word",
+        "ResourceLimitError", "UdVerdict", "UnknownSymbolError", "Word",
         "approx_str", "check_chain", "check_equal_kraft_finiteness", "check_mcmillan",
-        "check_monotonicity", "check_power_law", "code_power", "concat", "cover_exponent_bound",
+        "check_monotonicity", "check_power_law", "code_power", "concat",
         "emit_code_file", "equal_kraft_refinements", "exact_str", "export_hasse", "factorizations",
-        "first_factorization", "irredundant_refinements", "is_irredundant_refinement", "is_refinement",
-        "is_ud", "is_ud_bruteforce", "kraft_sum", "parse_code_file", "power_chain", "refines",
+        "first_factorization", "irredundant_refinements", "is_irredundant_refinement",
+        "is_ud", "kraft_sum", "parse_code_file", "power_chain", "refines",
         "run_command", "verify",
     ]
 
@@ -287,3 +289,17 @@ class TestPublicApi:
 
     def test_every_name_resolves(self):
         assert [name for name in codekraft.__all__ if not hasattr(codekraft, name)] == []
+
+
+class TestModuleGraph:
+    def test_decipher_imports_only_core_and_errors(self):
+        # Sardinas-Patterson needs no factorization search: decipher sits
+        # below refine, and the brute-force UD oracle lives in the tests
+        tree = ast.parse(Path(codekraft.decipher.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert {name for name in imported if name.startswith((".", "codekraft"))} == {".core", ".errors"}

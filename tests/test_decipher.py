@@ -2,10 +2,10 @@
 
 import pytest
 
-from codekraft import Alphabet, CertificateError, Code, ResourceLimitError, code_power, is_ud, is_ud_bruteforce
+from codekraft import Alphabet, CertificateError, Code, ResourceLimitError, code_power, is_ud
 from codekraft.decipher import _reconstruct
 
-from helpers import bcode, binary_codes, brute_force_bound, random_prefix_codes, splitter
+from helpers import bcode, binary_codes, brute_force_bound, is_ud_bruteforce, random_prefix_codes, splitter
 
 
 def assert_valid_witness(code, verdict):

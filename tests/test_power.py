@@ -13,7 +13,6 @@ from codekraft import (
     ResourceLimitError,
     code_power,
     concat,
-    is_refinement,
     is_ud,
     kraft_sum,
     power_chain,
@@ -21,7 +20,7 @@ from codekraft import (
 )
 from codekraft import power
 
-from helpers import BINARY, bcode, binary_codes
+from helpers import BINARY, bcode, binary_codes, refines_by_tuples
 
 SMALL_CODES = list(binary_codes(4, 3))
 
@@ -132,7 +131,7 @@ class TestPowerChain:
     def test_descent_means_refinement(self):
         chain = power_chain(bcode("0", "10", "11"), 2)
         for previous, following in zip(chain.members, chain.members[1:]):
-            assert is_refinement(following, previous).holds
+            assert refines_by_tuples(following, previous)
 
     def test_last_member_builds_no_factor_index(self):
         # only fine sides of the descent check are factored over

@@ -1,6 +1,7 @@
 """Proposition checks: reports, assertions, and generated sweeps."""
 
 import io
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,12 +18,10 @@ from codekraft import (
     check_monotonicity,
     check_power_law,
     code_power,
-    cover_exponent_bound,
     equal_kraft_refinements,
     first_factorization,
     irredundant_refinements,
     is_irredundant_refinement,
-    is_refinement,
     is_ud,
     kraft_sum,
     parse_code_file,
@@ -32,7 +31,7 @@ from codekraft import (
 from codekraft import cli, decipher
 from codekraft.core import Code, unit_code
 
-from helpers import BINARY, bcode, binary_codes, random_prefix_codes, random_ud_pairs
+from helpers import BINARY, bcode, binary_codes, random_prefix_codes, random_ud_pairs, refines_by_tuples
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -149,8 +148,11 @@ class TestMonotonicity:
         assert report.get("kraft_coarse") == report.get("kraft_fine")
 
     def test_not_refinement_rejected(self):
-        with pytest.raises(NotRefinementError):
-            check_monotonicity(bcode("0011"), bcode("01", "1"))
+        # the message names the first coarse word, in shortlex order, that does not factor
+        for coarse, failing in ((bcode("0011"), "0011"), (bcode("1", "000", "0011"), "000")):
+            message = f"{{1, 01}} does not refine {coarse}: no factorization of {failing!r}"
+            with pytest.raises(NotRefinementError, match=f"^{re.escape(message)}$"):
+                check_monotonicity(coarse, bcode("01", "1"))
 
     def test_non_ud_rejected(self):
         with pytest.raises(ValueError):
@@ -199,7 +201,7 @@ class TestEqualKraftRefinements:
         value = kraft_sum(code)
         for member in equal_kraft_refinements(code):
             assert is_ud(member).is_ud
-            assert is_refinement(code, member).holds
+            assert refines_by_tuples(code, member)
             assert kraft_sum(member) == value
 
     def test_finiteness_report(self):
@@ -312,7 +314,7 @@ class TestVerify:
 class TestCoverInclusionOnPairs:
     def test_factor_counts_within_cover_window(self):
         for coarse, fine in random_ud_pairs(20, seed=5):
-            m = cover_exponent_bound(coarse, fine)
+            m = coarse.max_len() // fine.min_len()
             for k in (1, 2):
                 for word in code_power(coarse, k, max_words=10**6):
                     factorization = first_factorization(word, fine)

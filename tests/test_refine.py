@@ -10,19 +10,17 @@ from hypothesis import given, seed, settings, strategies as st
 from codekraft import (
     Alphabet,
     Code,
-    EmptyCodeError,
     MixedAlphabetsError,
-    RefinementVerdict,
     ResourceLimitError,
     Word,
+    check_mcmillan,
+    check_monotonicity,
     code_power,
     concat,
-    cover_exponent_bound,
     factorizations,
     first_factorization,
     irredundant_refinements,
     is_irredundant_refinement,
-    is_refinement,
     is_ud,
     power_chain,
     refines,
@@ -37,6 +35,7 @@ from helpers import (
     code_over,
     composition_block_sets_by_mask,
     key_word,
+    refines_by_tuples,
     splitter,
     without,
 )
@@ -79,7 +78,7 @@ def reference_factorizations(word, code):
 def brute_force_irredundant(coarse):
     """Oracle: scan every subset of the substring closure for minimal refinements."""
     universe = substring_closure(coarse)
-    refining = [s for s in all_subsets(universe) if is_refinement(coarse, s).holds]
+    refining = [s for s in all_subsets(universe) if refines_by_tuples(coarse, s)]
     out = []
     for d in refining:
         if not any(e != d and set(e.words) < set(d.words) for e in refining):
@@ -166,9 +165,8 @@ class TestFactorIndex:
 
     def test_witness_factors_are_the_fine_codes_words(self):
         fine = bcode("0", "10", "11")
-        verdict = is_refinement(code_power(fine, 3), fine)
-        assert verdict.holds
-        for _word, factorization in verdict.witnesses:
+        for word in code_power(fine, 3):
+            factorization = first_factorization(word, fine)
             assert all(is_own_word(factor, fine) for factor in factorization.factors)
 
     @seed(20261018)
@@ -267,10 +265,10 @@ class TestRefines:
     @seed(20261018)
     @settings(max_examples=100, deadline=None)
     @given(refinement_pairs())
-    def test_matches_is_refinement(self, pair):
+    def test_matches_tuple_reference(self, pair):
         coarse, fine = pair
-        assert refines(coarse, fine) == is_refinement(coarse, fine).holds
-        assert refines(fine, coarse) == is_refinement(fine, coarse).holds
+        assert refines(coarse, fine) == refines_by_tuples(coarse, fine)
+        assert refines(fine, coarse) == refines_by_tuples(fine, coarse)
 
     @seed(20261019)
     @settings(max_examples=150, deadline=None)
@@ -420,35 +418,36 @@ class TestRefines:
 
 
 class TestIsRefinement:
+    """The refinement relation: verdicts from ``refines``, one witness per
+    coarse word from ``first_factorization``."""
+
     def test_unit_code_refines_everything(self):
-        verdict = is_refinement(bcode("010", "11"), bcode("0", "1"))
-        assert verdict.holds
-        assert [str(f) for _, f in verdict.witnesses] == ["1·1", "0·1·0"]
+        coarse, fine = bcode("010", "11"), bcode("0", "1")
+        assert refines(coarse, fine)
+        assert [str(first_factorization(w, fine)) for w in coarse] == ["1·1", "0·1·0"]
 
     def test_witnessed_split(self):
-        verdict = is_refinement(bcode("0011"), bcode("0", "011"))
-        assert verdict.holds
-        assert str(dict(verdict.witnesses)[BINARY.word("0011")]) == "0·011"
+        assert refines(bcode("0011"), bcode("0", "011"))
+        assert str(first_factorization(BINARY.word("0011"), bcode("0", "011"))) == "0·011"
 
     def test_negative_case(self):
-        verdict = is_refinement(bcode("0011"), bcode("01", "1"))
-        assert not verdict.holds
-        assert verdict.failing_word == BINARY.word("0011")
+        assert not refines(bcode("0011"), bcode("01", "1"))
+        assert first_factorization(BINARY.word("0011"), bcode("01", "1")) is None
 
     def test_witnesses_are_sound(self):
         fine = bcode("0", "10", "11")
         coarse = bcode("1011", "00")
-        verdict = is_refinement(coarse, fine)
-        assert verdict.holds
-        for word, factorization in verdict.witnesses:
+        assert refines(coarse, fine)
+        for word in coarse:
+            factorization = first_factorization(word, fine)
             assert factorization.concatenation == word
             assert all(f in fine for f in factorization.factors)
 
     def test_reflexive_and_transitive_on_corpus(self):
         corpus = list(binary_codes(2, 2))
         for c in corpus:
-            assert is_refinement(c, c).holds
-        pairs = {(i, j) for i, c in enumerate(corpus) for j, d in enumerate(corpus) if is_refinement(c, d).holds}
+            assert refines(c, c)
+        pairs = {(i, j) for i, c in enumerate(corpus) for j, d in enumerate(corpus) if refines(c, d)}
         for i, j in pairs:
             for k in range(len(corpus)):
                 if (j, k) in pairs:
@@ -458,7 +457,7 @@ class TestIsRefinement:
         corpus = [c for c in binary_codes(2, 3) if is_ud(c).is_ud]
         for c in corpus:
             for d in corpus:
-                if c != d and is_refinement(c, d).holds and is_refinement(d, c).holds:
+                if c != d and refines(c, d) and refines(d, c):
                     pytest.fail(f"UD antisymmetry violated by {c} and {d}")
 
 
@@ -468,7 +467,6 @@ class TestIsRefinement:
         for decide, args in (
             (refines, (bcode("01"), other)),
             (refines, (other, bcode("01"))),
-            (is_refinement, (bcode("01"), other)),
             (first_factorization, (word, other)),
             (factorizations, (word, other)),
         ):
@@ -491,8 +489,8 @@ class TestIrredundance:
     @given(refinement_pairs())
     def test_matches_single_removal_reference(self, pair):
         coarse, fine = pair
-        expected = is_refinement(coarse, fine).holds and not any(
-            is_refinement(coarse, without(fine, w)).holds for w in fine.words
+        expected = refines_by_tuples(coarse, fine) and not any(
+            refines_by_tuples(coarse, without(fine, w)) for w in fine.words
         )
         assert is_irredundant_refinement(coarse, fine) == expected
 
@@ -503,8 +501,8 @@ class TestIrredundance:
             for fine in fines:
                 if len(fine) > 4:
                     continue
-                naive = is_refinement(coarse, fine).holds and not any(
-                    s != fine and is_refinement(coarse, s).holds for s in all_subsets(fine)
+                naive = refines_by_tuples(coarse, fine) and not any(
+                    s != fine and refines_by_tuples(coarse, s) for s in all_subsets(fine)
                 )
                 assert is_irredundant_refinement(coarse, fine) == naive
 
@@ -525,9 +523,14 @@ class TestEmptyCode:
         assert refines(empty, empty)
 
     def test_is_refinement(self, size):
-        code, empty = self.nonempty(size), bcode()
-        assert is_refinement(code, empty) == RefinementVerdict(False, failing_word=code.words[0])
-        assert is_refinement(empty, code) == RefinementVerdict(True, ())
+        # the refines command names the first coarse word, or gives one
+        # witness per coarse word: none for the empty code
+        code, empty = cli.CodeFile(None, self.nonempty(size)), cli.CodeFile(None, bcode())
+        verdict, _, witnesses, lines = cli._cmd_refines(None, code, empty)
+        failing = code.code.words[0].text
+        assert (verdict, witnesses(), lines) == (False, {"failing_word": failing}, [f"not a refinement: no factorization of {failing}"])
+        verdict, _, witnesses, lines = cli._cmd_refines(None, empty, code)
+        assert (verdict, witnesses(), lines) == (True, {}, [])
 
     def test_is_irredundant_refinement(self, size):
         code, empty = self.nonempty(size), bcode()
@@ -628,18 +631,24 @@ class TestIrredundantRefinements:
         assert tested and len(tested) == len(set(tested))
 
 
-class TestCoverExponent:
-    def test_examples(self):
-        assert cover_exponent_bound(bcode("0011"), bcode("0", "011")) == 4
-        assert cover_exponent_bound(bcode("0011"), bcode("00", "11")) == 2
-        code = bcode("0", "10", "11")
-        assert cover_exponent_bound(code, code) == 2
+def cover_exponent(coarse, fine):
+    """The m that the monotonicity check reports for a UD refining pair."""
+    return check_monotonicity(coarse, fine, kmax=1).get("cover_exponent_m")
 
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyCodeError):
-            cover_exponent_bound(bcode(), bcode("0"))
-        with pytest.raises(EmptyCodeError):
-            cover_exponent_bound(bcode("0"), bcode())
+
+class TestCoverExponent:
+    """The cover exponent m = maxlen(coarse) // minlen(fine)."""
+
+    def test_examples(self):
+        assert cover_exponent(bcode("0011"), bcode("0", "011")) == 4
+        assert cover_exponent(bcode("0011"), bcode("00", "11")) == 2
+        code = bcode("0", "10", "11")
+        assert cover_exponent(code, code) == 2
+
+    def test_empty_code_has_no_exponent(self):
+        assert cover_exponent(bcode(), bcode("0")) is None
+        assert cover_exponent(bcode(), bcode()) is None
+        assert check_mcmillan(bcode()).get("cover_exponent_m") is None
 
     @pytest.mark.parametrize(
         "coarse,fine",
@@ -651,8 +660,8 @@ class TestCoverExponent:
         ],
     )
     def test_guarantee_verified_exhaustively(self, coarse, fine):
-        assert is_refinement(coarse, fine).holds
-        m = cover_exponent_bound(coarse, fine)
+        assert refines_by_tuples(coarse, fine)
+        m = cover_exponent(coarse, fine)
         assert m >= 1
         coarse_words = set(coarse.words)
         covered = set()
