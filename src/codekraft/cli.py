@@ -37,7 +37,7 @@ from .errors import (
 from .kraft import approx_str, exact_str, kraft_sum
 from .power import DEFAULT_MAX_POWER_WORDS, code_power, power_chain
 from .props import PropositionId, PropositionReport, verify
-from .refine import DEFAULT_MAX_CANDIDATES, _require_same_alphabet, first_factorization, irredundant_refinements, refines
+from .refine import DEFAULT_MAX_CANDIDATES, _first_factors, _require_same_alphabet, irredundant_refinements, refines
 
 
 @dataclass(frozen=True)
@@ -166,18 +166,27 @@ def _cmd_ud(args, parsed):
 
 def _cmd_refines(args, coarse, fine):
     _require_same_alphabet(coarse.code, fine.code)
+    symbols = coarse.code.alphabet.symbols
+    # the canonical search only tests membership, so it needs no Word objects
+    keys = fine.code.indices
+    index, lengths = set(keys), tuple(dict.fromkeys(map(len, keys)))
     witnesses = []
-    for word in coarse.code.words:
-        factorization = first_factorization(word, fine.code)
-        if factorization is None:
-            failing = word.text
+    for t in coarse.code.indices:
+        factors = _first_factors(t, index, lengths)
+        if factors is None:
+            failing = t.translate(symbols)
             return False, {}, lambda: {"failing_word": failing}, [f"not a refinement: no factorization of {failing}"]
-        witnesses.append((word, factorization))
+        witnesses.append((t, factors))
+    # the report in one translate: past the symbols, chr(r) prints "·" between
+    # factors, chr(r + 1) " = " after a coarse word and chr(r + 2) a line break
+    r = len(symbols)
+    dot, equals, newline = chr(r), chr(r + 1), chr(r + 2)
+    text = newline.join(t + equals + dot.join(factors) for t, factors in witnesses).translate([*symbols, "·", " = ", "\n"])
     return (
         True,
         {"kraft_coarse": kraft_sum(coarse.code), "kraft_fine": kraft_sum(fine.code)},
-        lambda: {word.text: [w.text for w in factorization.factors] for word, factorization in witnesses},
-        [f"{word.text} = {factorization}" for word, factorization in witnesses],
+        lambda: {t.translate(symbols): [f.translate(symbols) for f in factors] for t, factors in witnesses},
+        [text] if text else [],
     )
 
 

@@ -178,7 +178,7 @@ class Code:
     """
 
     # ``_factor_index`` stays unset until first read on codes built by
-    # ``_from_indices``.
+    # ``_from_indices`` or ``_from_shortlex``.
     __slots__ = ("alphabet", "indices", "_factor_index")
 
     alphabet: Alphabet
@@ -207,6 +207,17 @@ class Code:
         collapse."""
         code = object.__new__(cls)
         code._fill(alphabet, dict.fromkeys(keys))
+        return code
+
+    @classmethod
+    def _from_shortlex(cls, alphabet: Alphabet, indices: tuple[Key, ...]) -> "Code":
+        """A code whose ``indices`` are given as is: keys of validated words
+        over ``alphabet``, already distinct and in shortlex order.  Neither
+        is checked; a caller that cannot promise both uses
+        :meth:`_from_indices`."""
+        code = object.__new__(cls)
+        object.__setattr__(code, "alphabet", alphabet)
+        object.__setattr__(code, "indices", indices)
         return code
 
     def _fill(self, alphabet: Alphabet, distinct: Iterable[Key]) -> None:

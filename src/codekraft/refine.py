@@ -33,7 +33,7 @@ from bisect import bisect_left, bisect_right
 from functools import cache, reduce
 from itertools import compress
 from operator import itemgetter, not_, or_
-from typing import Callable, Optional, Sequence
+from typing import Callable, Container, Optional, Sequence
 
 from .core import Code, Factorization, Key, Word
 from .errors import MixedAlphabetsError, ResourceLimitError
@@ -48,11 +48,13 @@ def _require_same_alphabet(a, b):
 
 
 def _first_factors(
-    indices: Key, words: dict[Key, Word], lengths: tuple[int, ...]
+    indices: Key, words: Container[Key], lengths: tuple[int, ...]
 ) -> Optional[list[Key]]:
-    """The canonical factorization of ``indices`` over the keys of a
-    :meth:`Code.factor_index`, as those keys, read back from the first
-    parents of the module's breadth-first search; None if it has none."""
+    """The canonical factorization of ``indices`` over the keys in
+    ``words`` (those of a :meth:`Code.factor_index`, or a set of a code's
+    keys), as those keys, read back from the first parents of the module's
+    breadth-first search; None if it has none.  ``lengths`` are the keys'
+    distinct lengths, ascending."""
     n = len(indices)
     parents: dict[int, int] = {}
     queue = [0]

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -19,6 +20,8 @@ from codekraft import (
     UnknownSymbolError,
     emit_code_file,
     export_hasse,
+    first_factorization,
+    kraft_sum,
     parse_code_file,
     run_command,
 )
@@ -430,16 +433,22 @@ class TestCommands:
         assert len(reparsed.code) == 9
 
     @pytest.mark.parametrize("flags", [(), ("--json",)])
-    @pytest.mark.parametrize("argv", [("power", fix("prefix.code"), "-k", "3"), ("irredundant", fix("prefix.code"))])
+    @pytest.mark.parametrize("argv", [
+        ("power", fix("prefix.code"), "-k", "3"),
+        ("irredundant", fix("prefix.code")),
+        ("refines", fix("prefix.code"), fix("unit.code")),
+        ("refines", fix("unit.code"), fix("single.code")),
+    ])
     def test_printing_builds_no_word_index(self, argv, flags, monkeypatch):
-        # parsed codes are key-built too, and every code prints from its keys
+        # parsed codes are key-built too, every code prints from its keys, and
+        # refines factors over a set of the fine code's keys
         def refuse(self):
             raise AssertionError(f"factor index built for {self.indices}")
 
         expected = run(*flags, *argv)
         monkeypatch.setattr(cli.Code, "factor_index", refuse)
         assert run(*flags, *argv) == expected
-        assert expected[0] == 0
+        assert expected[0] == (1 if argv[1:] == (fix("unit.code"), fix("single.code")) else 0)
 
     def test_chain_report(self):
         status, out, _ = run("chain", fix("prefix.code"), "-n", "1")
@@ -551,6 +560,63 @@ class TestJsonMode:
     def test_big_integers_survive_as_strings(self):
         payload = json.loads(run("--json", "kraft", fix("single.code"))[1])
         assert payload["exact_values"]["kraft_sum"] == {"num": "1", "den": "16"}
+
+
+def refines_rendering(coarse_path, fine_path, json_mode):
+    """The report of ``refines COARSE FINE``, built from the public
+    first_factorization, one coarse word at a time in shortlex order."""
+    coarse, fine = (parse_code_file(Path(p).read_text(encoding="utf-8")).code for p in (coarse_path, fine_path))
+    witnesses = {}
+    for word in coarse:
+        factorization = first_factorization(word, fine)
+        if factorization is None:
+            if json_mode:
+                payload = {"command": "refines", "inputs": [coarse_path, fine_path], "verdict": False,
+                           "exact_values": {}, "witnesses": {"failing_word": word.text}}
+                return 1, json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+            return 1, f"not a refinement: no factorization of {word.text}\n"
+        witnesses[word.text] = factorization
+    if not json_mode:
+        return 0, "".join(f"{text} = {factorization}\n" for text, factorization in witnesses.items())
+    exact = {name: {"num": str(value.numerator), "den": str(value.denominator)}
+             for name, value in (("kraft_coarse", kraft_sum(coarse)), ("kraft_fine", kraft_sum(fine)))}
+    payload = {"command": "refines", "inputs": [coarse_path, fine_path], "verdict": True, "exact_values": exact,
+               "witnesses": {text: [w.text for w in f.factors] for text, f in witnesses.items()}}
+    return 0, json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
+class TestRefinesCommand:
+    """The refines report against a rendering from the public API."""
+
+    @staticmethod
+    def pairs(seed, count):
+        # fine codes of 1-5 words, UD or not; coarse words are concatenations
+        # of fine words, or, in about half the codes, also random words
+        rng = random.Random(seed)
+        for _ in range(count):
+            symbols = rng.choice(("01", "012", "ab"))
+            fine = {"".join(rng.choices(symbols, k=rng.randint(1, 3))) for _ in range(rng.randint(1, 5))}
+            words = sorted(fine)
+            coarse = {"".join(rng.choices(words, k=rng.randint(1, 4))) for _ in range(rng.randint(0, 6))}
+            if rng.random() < 0.5:
+                coarse |= {"".join(rng.choices(symbols, k=rng.randint(1, 5))) for _ in range(rng.randint(1, 2))}
+            yield symbols, coarse, fine
+
+    @pytest.mark.parametrize("json_mode", [False, True])
+    def test_matches_public_rendering(self, tmp_path, json_mode):
+        statuses = set()
+        for i, (symbols, coarse, fine) in enumerate(self.pairs(20261020, 80)):
+            paths = []
+            for name, words in (("coarse", coarse), ("fine", fine)):
+                path = tmp_path / f"{name}{i}.code"
+                path.write_text(f"alphabet {symbols}\n" + "".join(w + "\n" for w in words), encoding="utf-8")
+                paths.append(str(path))
+            flags = ("--json",) if json_mode else ()
+            status, out, err = run(*flags, "refines", *paths)
+            assert (status, out) == refines_rendering(*paths, json_mode), (coarse, fine)
+            assert err == ""
+            statuses.add(status)
+        assert statuses == {0, 1}
 
 
 class TestHasse:

@@ -1,6 +1,7 @@
 """Code powers and power chains."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,56 @@ class TestCodePower:
     def test_power_is_multiplicative(self):
         code = bcode("0", "10", "11")
         assert code_power(code, 4) == code_power(code_power(code, 2), 2)
+
+
+def naive_power(code, k):
+    """The keys of C^k from all |C|^k concatenations, by a set and one sort."""
+    return tuple(sorted({"".join(t) for t in itertools.product(code.indices, repeat=k)}, key=lambda t: (len(t), t)))
+
+
+def random_small_codes(seed, count):
+    """Seeded binary and ternary codes of 1 to 6 words of length 1 to 4."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        symbols = rng.choice(("01", "012"))
+        alphabet = Alphabet(symbols)
+        texts = {"".join(rng.choices(symbols, k=rng.randint(1, 4))) for _ in range(rng.randint(1, 6))}
+        yield Code(alphabet, [alphabet.word(t) for t in texts])
+
+
+# collisions between concatenations of different length splits
+COLLIDING = [bcode("0", "01", "10"), bcode("0", "00"), bcode("0", "1", "001"), bcode("1", "01", "10", "010")]
+EDGE_CODES = [bcode(), bcode("0"), bcode("0110"), *COLLIDING]
+
+
+class TestCodePowerOracle:
+    """code_power against all concatenations, deduplicated and sorted.
+
+    Each case runs at the default crossover and with it forced both ways,
+    so the build by sorting and the product of length classes both face
+    the oracle on every code."""
+
+    @pytest.fixture(params=["default", "sorting", "classes"], autouse=True)
+    def build(self, request, monkeypatch):
+        if request.param != "default":
+            monkeypatch.setattr(power, "_CLASS_MIN", 10**9 if request.param == "sorting" else 0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_edge_and_colliding_codes(self, k):
+        for code in EDGE_CODES:
+            assert code_power(code, k).indices == naive_power(code, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_random_codes(self, k):
+        for code in random_small_codes(20261020 + k, 60):
+            assert code_power(code, k).indices == naive_power(code, k), (str(code), k)
+
+    def test_fourth_power_is_square_of_square(self):
+        # codes that are not UD, of mixed lengths: repeats drop at every step
+        codes = [*COLLIDING, *(c for c in random_small_codes(20261021, 200) if not is_ud(c).is_ud)]
+        assert len(codes) > 20
+        for code in codes:
+            assert code_power(code, 4) == code_power(code_power(code, 2), 2), str(code)
 
 
 class TestWordTuples:
