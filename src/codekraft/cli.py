@@ -55,13 +55,15 @@ def parse_code_file(text: str | bytes, path: str | None = None) -> CodeFile:
     Lines starting with ``#`` and blank lines are ignored.  The first
     significant line must be ``alphabet <symbols>``: distinct characters,
     none of them whitespace or ``#``.  Every later significant line is one
-    word over those symbols.  Duplicate words collapse with a warning.
+    word over those symbols.  Duplicate words collapse with a warning.  A
+    leading UTF-8 byte-order mark is ignored.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CodeFileError(str(exc), line=text.count(b"\n", 0, exc.start) + 1) from exc
+    text = text.removeprefix("\ufeff")  # as Windows Notepad saves UTF-8
     alphabet: Alphabet | None = None
     keys: dict[Key, None] = {}  # insertion-ordered
     warnings: list[str] = []
@@ -114,25 +116,14 @@ def _load(path: str, err: IO[str]) -> CodeFile:
     return parsed
 
 
-def _jsonable(value):
+def _json_default(value):
+    # json.dumps calls this for each value it cannot write itself
     if isinstance(value, Fraction):
         return {"num": str(value.numerator), "den": str(value.denominator)}
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+    if isinstance(value, PropositionReport):
+        return {"id": value.proposition_id.value, "passed": value.passed,
+                "parameters": dict(value.parameters), "details": dict(value.details)}
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _report_jsonable(report: PropositionReport) -> dict:
-    return {
-        "id": report.proposition_id.value,
-        "passed": report.passed,
-        "parameters": {k: _jsonable(v) for k, v in report.parameters},
-        "details": {k: _jsonable(v) for k, v in report.details},
-    }
 
 
 def _cap(args, default: int) -> int:
@@ -272,7 +263,7 @@ def _cmd_verify(args, parsed):
     return (
         passed,
         {"kraft_sum": kraft_sum(parsed.code), "checks": len(reports)},
-        lambda: {"reports": [_report_jsonable(r) for r in reports], "notes": notes},
+        lambda: {"reports": reports, "notes": notes},
         lines,
     )
 
@@ -464,10 +455,10 @@ def run_command(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[s
                 "command": args.command,
                 "inputs": args.files,
                 "verdict": verdict,
-                "exact_values": _jsonable(exact_values),
-                "witnesses": _jsonable(witnesses()),
+                "exact_values": exact_values,
+                "witnesses": witnesses(),
             }
-            print(json.dumps(payload, indent=2, ensure_ascii=False), file=out)
+            print(json.dumps(payload, indent=2, ensure_ascii=False, default=_json_default), file=out)
         elif lines:
             out.write("\n".join(lines) + "\n")
     except ResourceLimitError as exc:

@@ -202,9 +202,9 @@ class Code:
 
     @classmethod
     def _from_indices(cls, alphabet: Alphabet, keys: Iterable[Key]) -> "Code":
-        """A code of keys taken from validated words over ``alphabet``
-        (concatenations, slices or subsets of them); repeated keys
-        collapse."""
+        """A code of keys, in any order, of validated words over
+        ``alphabet`` (words read from a file, or slices of code words);
+        repeated keys collapse."""
         code = object.__new__(cls)
         code._fill(alphabet, dict.fromkeys(keys))
         return code

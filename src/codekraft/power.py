@@ -8,10 +8,9 @@ coincide is computed, not assumed (they coincide exactly when K(C) = 1).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from operator import eq
 from typing import Sequence
 
@@ -23,58 +22,31 @@ from .refine import refines
 DEFAULT_MAX_POWER_WORDS = 100_000
 
 
-# The crossover: a power of fewer than _CLASS_MIN * span^2 words, where span
-# is the number of lengths from the code's shortest word to its longest, is
-# sorted whole, since the product of length classes pays per pair of classes.
-# Over about 1,600 (code, k) pairs per seed, two seeds, of random binary and
-# ternary codes of 2 to 16 words of length up to 5 and k = 2, 3, 4, this rule
-# took 1.005-1.006 times the summed time of the faster build per power; 16
-# and 64 took 1.016-1.018 and 1.029-1.032, all-classes 1.07 and all-sorting
-# 1.43-1.47.
-_CLASS_MIN = 32
+def _prefix_product(a: Sequence[Key], b: Sequence[Key]) -> list[Key]:
+    """The concatenations of shortlex-sorted keys ``a`` and ``b`` in
+    shortlex order, when no key of ``a`` is a prefix of another.
 
-# a code's keys by length, shortest first: (length, keys of that length)
-Classes = list[tuple[int, Sequence[Key]]]
-
-
-def _concat(a: Sequence[Key], b: Sequence[Key]) -> list[Key]:
-    # product order: sorted factors give nearly sorted concatenations, which
-    # Code._from_indices sorts in about linear time; it drops repeats by
-    # hashing, so a list for C^k holds |code|^k keys, the count the cap bounds
-    return [s + t for s in a for t in b]
+    Two heads s != s' then differ inside both, so s + t and s' + t' compare
+    as s and s', and with one head as the tails, of one length.  So with the
+    heads in lexicographic order and the tails in shortlex order, the
+    concatenations of each length come sorted and distinct: one stable sort
+    by length makes them shortlex, none when ``a`` and ``b`` have one length.
+    """
+    if len(a[0]) == len(a[-1]) and len(b[0]) == len(b[-1]):
+        return [s + t for s in a for t in b]
+    keys = [s + t for s in sorted(a) for t in b]
+    keys.sort(key=len)
+    return keys
 
 
-def _classes(keys: Sequence[Key]) -> Classes:
-    # shortlex-sorted keys hold each length's keys in one run, shortest first
-    classes: Classes = []
-    start = 0
-    while start < len(keys):
-        length = len(keys[start])
-        end = bisect_right(keys, length, lo=start, key=len)
-        classes.append((length, keys[start:end]))
-        start = end
-    return classes
-
-
-def _product(a: Classes, b: Classes) -> Classes:
-    # a length of a by one of b gives a block of concatenations that is
-    # lexicographically sorted and holds no repeats, since its factors have
-    # fixed lengths; an output length fed by one block needs no sort
-    tails_of = dict(b)
-    product: Classes = []
-    for length in range(a[0][0] + b[0][0], a[-1][0] + b[-1][0] + 1):
-        pairs = [(heads, tails_of[length - m]) for m, heads in a if length - m in tails_of]
-        if not pairs:
-            continue
-        keys = [s + t for heads, tails in pairs for s in heads for t in tails]
-        if len(pairs) > 1:
-            # timsort merges the sorted blocks; only a code that is not UD
-            # repeats a concatenation, so only such a code pays to drop repeats
-            keys.sort()
-            if any(map(eq, keys, islice(keys, 1, None))):
-                keys = list(dict.fromkeys(keys))
-        product.append((length, keys))
-    return product
+def _product(a: list[Key], b: list[Key]) -> list[Key]:
+    # lexicographically sorted keys in and out; only a code that is not UD
+    # repeats a concatenation, so only such a code pays to drop repeats
+    keys = [s + t for s in a for t in b]
+    keys.sort()
+    if any(map(eq, keys, islice(keys, 1, None))):
+        keys = list(dict.fromkeys(keys))
+    return keys
 
 
 def _power(base, k: int, multiply):
@@ -95,11 +67,10 @@ def code_power(code: Code, k: int, max_words: int = DEFAULT_MAX_POWER_WORDS) -> 
 
     For a UD code the cardinality is exactly ``len(code) ** k``; any
     shortfall comes from colliding concatenations.  The power is built by
-    binary exponentiation over the code's length classes: concatenations
-    of one length of each factor come sorted and distinct, and repeats are
-    dropped where the blocks of one output length merge, after each
-    product.  Below a measured crossover the |code|^k concatenations are
-    instead sorted whole and deduplicated by hashing when the code is built.
+    binary exponentiation.  The powers of a prefix code are prefix codes, so
+    each product needs only a stable sort by length (:func:`_prefix_product`).
+    For any other code each product is sorted and repeats dropped, and a sort
+    by length ends the build.
     """
     if k == 1:
         # C^1 is the code itself: nothing is built, so nothing is capped
@@ -111,15 +82,16 @@ def code_power(code: Code, k: int, max_words: int = DEFAULT_MAX_POWER_WORDS) -> 
         raise ResourceLimitError(
             f"|code|^k = {count} exceeds the cap of {max_words}", limit=max_words, count=count
         )
-    keys = code.indices
-    if not keys:
+    if not code.indices:
         return code
-    span = len(keys[-1]) - len(keys[0]) + 1
-    if count < _CLASS_MIN * span * span:
-        return Code._from_indices(code.alphabet, _power(keys, k, _concat))
-    classes = _power(_classes(keys), k, _product)
-    runs = classes[0][1] if len(classes) == 1 else chain.from_iterable(run for _, run in classes)
-    return Code._from_shortlex(code.alphabet, tuple(runs))
+    keys = sorted(code.indices)
+    # a key that is a prefix of others sorts just before the first of them
+    if any(map(str.startswith, islice(keys, 1, None), keys)):
+        keys = _power(keys, k, _product)
+        keys.sort(key=len)
+    else:
+        keys = _power(code.indices, k, _prefix_product)
+    return Code._from_shortlex(code.alphabet, tuple(keys))
 
 
 @dataclass(frozen=True, slots=True)

@@ -92,6 +92,19 @@ class TestParseCodeFile:
             parse_code_file(b"alphabet 01\n0\n1\xff0\n")
         assert exc.value.line == 3 and "utf-8" in str(exc.value)
 
+    def test_byte_order_mark_ignored(self):
+        # as Windows Notepad saves UTF-8; line numbers still count from the file's first line
+        text = b"# header\nalphabet 01\n0\n10\n0\n10\n"
+        plain, marked = parse_code_file(text), parse_code_file(b"\xef\xbb\xbf" + text)
+        assert marked == plain
+        assert marked.warnings == ("line 5: duplicate word '0'", "line 6: duplicate word '10'")
+        assert parse_code_file("\ufeff" + text.decode()) == plain
+
+    def test_byte_order_mark_keeps_bad_byte_line(self):
+        with pytest.raises(CodeFileError) as exc:
+            parse_code_file(b"\xef\xbb\xbfalphabet 01\n0\n1\xff0\n")
+        assert exc.value.line == 3 and "utf-8" in str(exc.value)
+
     def test_round_trip_is_byte_identical(self):
         canonical = "alphabet 01\n0\n10\n11\n"
         parsed = parse_code_file(canonical)
@@ -154,6 +167,12 @@ class TestExitCodes:
         status, out, err = run("ud", str(bad))
         assert (status, out) == (2, "")
         assert err.startswith("error: line 3: 'utf-8' codec can't decode byte 0xff")
+
+    def test_file_with_byte_order_mark(self, tmp_path):
+        marked = tmp_path / "bom.code"
+        marked.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "prefix.code").read_bytes())
+        assert run("kraft", str(marked)) == run("kraft", fix("prefix.code"))
+        assert run("kraft", str(marked))[0] == 0
 
     def test_internal_error_is_not_a_usage_error(self, monkeypatch):
         def broken(code, max_states):
@@ -515,10 +534,17 @@ class TestCommands:
         assert "RuntimeWarning" not in result.stderr
 
     def test_human_report_builds_no_json(self, monkeypatch):
-        def refuse(report):
+        def refuse(*args):
             raise AssertionError("a human report built a JSON witness")
 
-        monkeypatch.setattr(cli, "_report_jsonable", refuse)
+        help_, handler, *rest = cli._COMMANDS["verify"]
+
+        def without_witnesses(*args):
+            verdict, exact_values, _witnesses, lines = handler(*args)
+            return verdict, exact_values, refuse, lines
+
+        monkeypatch.setitem(cli._COMMANDS, "verify", (help_, without_witnesses, *rest))
+        monkeypatch.setattr(cli, "_json_default", refuse)
         status, out, _ = run("verify", fix("prefix.code"))
         assert (status, out) == (0, (FIXTURES.parent / "golden" / "verify_prefix.txt").read_text())
 

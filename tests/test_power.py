@@ -21,7 +21,7 @@ from codekraft import (
 )
 from codekraft import power
 
-from helpers import BINARY, bcode, binary_codes, refines_by_tuples
+from helpers import BINARY, bcode, binary_codes, code_over, refines_by_tuples
 
 SMALL_CODES = list(binary_codes(4, 3))
 
@@ -84,22 +84,63 @@ def random_small_codes(seed, count):
         yield Code(alphabet, [alphabet.word(t) for t in texts])
 
 
+def random_prefix_trees(seed, count, max_words=12):
+    """Seeded binary and ternary prefix codes: the leaves of random trees,
+    grown by giving a random leaf children on a random nonempty set of
+    symbols while the code stays within ``max_words`` words."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        symbols = rng.choice(("01", "012"))
+        alphabet = Alphabet(symbols)
+        leaves = [""]
+        while True:
+            children = rng.sample(symbols, rng.randint(1, len(symbols)))
+            if leaves != [""] and (len(leaves) - 1 + len(children) > max_words or rng.random() < 0.15):
+                break
+            leaf = leaves.pop(rng.randrange(len(leaves)))
+            leaves += [leaf + c for c in children]
+        yield Code(alphabet, [alphabet.word(t) for t in leaves])
+
+
+def reversed_code(code):
+    """The code of the reversed words: a suffix code when ``code`` is prefix."""
+    return Code(code.alphabet, [code.alphabet.word(w.text[::-1]) for w in code])
+
+
+def within_cap(codes, k):
+    return [code for code in codes if len(code) ** k <= power.DEFAULT_MAX_POWER_WORDS]
+
+
+def is_prefix(code):
+    return not any(u != v and v.indices.startswith(u.indices) for u in code for v in code)
+
+
 # collisions between concatenations of different length splits
 COLLIDING = [bcode("0", "01", "10"), bcode("0", "00"), bcode("0", "1", "001"), bcode("1", "01", "10", "010")]
 EDGE_CODES = [bcode(), bcode("0"), bcode("0110"), *COLLIDING]
+# prefix codes of one word length, and of mixed lengths
+BLOCK_CODES = [bcode("0", "1"), bcode("00", "01", "10", "11"), code_over(Alphabet("012"), "0", "1", "2")]
+MIXED_PREFIX = [
+    bcode("0", "10", "110", "111"),
+    code_over(Alphabet("012"), "0", "1", "20", "21", "22"),
+    # shortlex and lexicographic orders differ
+    bcode("1", "00", "01"),
+    *(code for code in random_prefix_trees(20261022, 40) if code.min_len() < code.max_len()),
+]
+# UD but not prefix-free: suffix codes
+SUFFIX_CODES = [
+    bcode("0", "01", "11"),
+    bcode("0", "01"),
+    bcode("1", "10", "00"),
+    *(c for c in map(reversed_code, random_prefix_trees(20261023, 80)) if not is_prefix(c)),
+]
 
 
 class TestCodePowerOracle:
-    """code_power against all concatenations, deduplicated and sorted.
-
-    Each case runs at the default crossover and with it forced both ways,
-    so the build by sorting and the product of length classes both face
-    the oracle on every code."""
-
-    @pytest.fixture(params=["default", "sorting", "classes"], autouse=True)
-    def build(self, request, monkeypatch):
-        if request.param != "default":
-            monkeypatch.setattr(power, "_CLASS_MIN", 10**9 if request.param == "sorting" else 0)
+    """code_power against all concatenations, deduplicated and sorted, on
+    each kind of code the build tells apart: prefix codes of one length and
+    of mixed lengths, UD codes that are not prefix-free, and codes that are
+    not UD."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_edge_and_colliding_codes(self, k):
@@ -109,6 +150,29 @@ class TestCodePowerOracle:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_random_codes(self, k):
         for code in random_small_codes(20261020 + k, 60):
+            assert code_power(code, k).indices == naive_power(code, k), (str(code), k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_words_of_one_length(self, k):
+        for code in BLOCK_CODES:
+            assert code_power(code, k).indices == naive_power(code, k), (str(code), k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_prefix_codes_of_mixed_lengths(self, k):
+        assert len(MIXED_PREFIX) > 30 and all(map(is_prefix, MIXED_PREFIX))
+        for code in within_cap(MIXED_PREFIX, k):
+            assert code_power(code, k).indices == naive_power(code, k), (str(code), k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_suffix_codes(self, k):
+        assert len(SUFFIX_CODES) > 20 and all(is_ud(c).is_ud and not is_prefix(c) for c in SUFFIX_CODES)
+        for code in within_cap(SUFFIX_CODES, k):
+            assert code_power(code, k).indices == naive_power(code, k), (str(code), k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_codes_that_are_not_ud(self, k):
+        for code in (bcode("0", "01", "10"), bcode("0", "00")):
+            assert not is_ud(code).is_ud
             assert code_power(code, k).indices == naive_power(code, k), (str(code), k)
 
     def test_fourth_power_is_square_of_square(self):
