@@ -158,9 +158,7 @@ def _cmd_ud(args, parsed):
 def _cmd_refines(args, coarse, fine):
     _require_same_alphabet(coarse.code, fine.code)
     symbols = coarse.code.alphabet.symbols
-    # the canonical search only tests membership, so it needs no Word objects
-    keys = fine.code.indices
-    index, lengths = set(keys), tuple(dict.fromkeys(map(len, keys)))
+    index, lengths = fine.code.factor_index()
     witnesses = []
     for t in coarse.code.indices:
         factors = _first_factors(t, index, lengths)
@@ -274,7 +272,7 @@ def export_hasse(code_files: Sequence[CodeFile]) -> str:
     Nodes are the input codes in input order, labeled with their name and
     exact Kraft value; an edge C -> D means C is strictly below D in the
     refinement order with no input strictly between.  Output is
-    deterministic for identical inputs.
+    deterministic for identical inputs; no codes give the empty graph.
     """
     return _hasse(code_files)[1]
 
@@ -282,11 +280,10 @@ def export_hasse(code_files: Sequence[CodeFile]) -> str:
 def _hasse(code_files: Sequence[CodeFile]) -> tuple[dict[str, Fraction], str, list[str]]:
     """The Kraft value of each node by name, the DOT text, and its edges
     as ``"C" -> "D"`` without the closing semicolon."""
-    alphabet = code_files[0].code.alphabet
-    for parsed in code_files[1:]:
-        if parsed.code.alphabet != alphabet:
+    for previous, parsed in zip(code_files, code_files[1:]):
+        if parsed.code.alphabet != previous.code.alphabet:
             raise MixedAlphabetsError(
-                f"codes mix alphabets {alphabet.symbols!r} and {parsed.code.alphabet.symbols!r}"
+                f"codes mix alphabets {previous.code.alphabet.symbols!r} and {parsed.code.alphabet.symbols!r}"
             )
     names = _hasse_names(code_files)
     # DOT IDs and labels are double-quoted strings, in which \ and " are escaped

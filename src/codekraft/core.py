@@ -8,12 +8,11 @@ back); keys compare in the order of their index sequences.  The public
 text; only the library builds a word from a key, through the unchecked
 ``Word._from_key``.  A code is held as ``Code.indices``, the sorted tuple
 of its words' keys; everything that only needs the symbols (Kraft sums,
-refinement and UD verdicts, powers, membership, printing) reads that.  One per-code value is a cache: the
-factorization index (:meth:`Code.factor_index`), which also holds the
-code's :class:`Word` objects.  A code built from words fills it at
-construction; a code built internally from keys fills it on first use.
-Two threads racing to fill it both compute and store equal values, so the
-race is harmless.
+refinement and UD verdicts, powers, membership, printing) reads that.  A
+code holds no :class:`Word`: ``Code.words``, iteration and factorizations
+build theirs from keys when asked.  One per-code value is a cache, the key
+index (:meth:`Code.factor_index`), built on first use.  Two threads racing
+to build it both compute and store equal values, so the race is harmless.
 The canonical order used everywhere (code iteration, enumeration output,
 witness reporting) is shortlex: first by length, then lexicographically by
 symbol index.
@@ -156,37 +155,27 @@ def _shortlex(indices: Key) -> tuple[int, Key]:
     return (len(indices), indices)
 
 
-def _factor_index(
-    indices: tuple[Key, ...], words: Iterable[Word]
-) -> tuple[dict[Key, Word], tuple[int, ...]]:
-    # ``indices`` is shortlex-sorted, so its distinct lengths come in order
-    return dict(zip(indices, words)), tuple(dict.fromkeys(map(len, indices)))
-
-
 class Code:
     """A finite set of nonempty words over one alphabet.
 
-    The code's primary form is ``indices``: the shortlex-sorted tuple of
-    its words' keys.  The only other per-code structure is
-    :meth:`factor_index`, which maps each key to its :class:`Word`;
-    ``words`` and iteration read its values.  A code built from words fills
-    it at construction (keeping the first of equal words); a code built
-    internally from keys builds it on first read.  Input that is
-    already sorted, or nearly so, sorts in about linear time.  The empty
-    code is permitted (Kraft sum 0, vacuously uniquely decipherable,
-    refined by every code).
+    The code's one form is ``indices``: the shortlex-sorted tuple of its
+    words' keys.  Its one other structure is the key index of
+    :meth:`factor_index`, built on first read.  ``words`` and iteration
+    build :class:`Word` objects from the keys each time they are read, so
+    they are equal to the words a code was built from, not the same
+    objects.  Input that is already sorted, or nearly so, sorts in about
+    linear time.  The empty code is permitted (Kraft sum 0, vacuously
+    uniquely decipherable, refined by every code).
     """
 
-    # ``_factor_index`` stays unset until first read on codes built by
-    # ``_from_indices`` or ``_from_shortlex``.
+    # ``_factor_index`` stays unset until first read
     __slots__ = ("alphabet", "indices", "_factor_index")
 
     alphabet: Alphabet
     indices: tuple[Key, ...]
 
     def __init__(self, alphabet: Alphabet, words: Iterable[Word] = ()):
-        # an insertion-ordered dict keeps the first of equal words
-        seen: dict[Key, Word] = {}
+        keys = []
         for w in words:
             if not isinstance(w, Word):
                 raise TypeError(f"expected Word, got {type(w).__name__}")
@@ -195,10 +184,8 @@ class Code:
                     f"word {w.text!r} is over alphabet {w.alphabet.symbols!r}, "
                     f"not {alphabet.symbols!r}"
                 )
-            seen.setdefault(w.indices, w)
-        self._fill(alphabet, seen)
-        index = _factor_index(self.indices, map(seen.__getitem__, self.indices))
-        object.__setattr__(self, "_factor_index", index)
+            keys.append(w.indices)
+        self._fill(alphabet, keys)
 
     @classmethod
     def _from_indices(cls, alphabet: Alphabet, keys: Iterable[Key]) -> "Code":
@@ -206,7 +193,7 @@ class Code:
         ``alphabet`` (words read from a file, or slices of code words);
         repeated keys collapse."""
         code = object.__new__(cls)
-        code._fill(alphabet, dict.fromkeys(keys))
+        code._fill(alphabet, keys)
         return code
 
     @classmethod
@@ -220,9 +207,9 @@ class Code:
         object.__setattr__(code, "indices", indices)
         return code
 
-    def _fill(self, alphabet: Alphabet, distinct: Iterable[Key]) -> None:
+    def _fill(self, alphabet: Alphabet, keys: Iterable[Key]) -> None:
         # shortlex by two C-level sorts: lexicographic, then stable by length
-        indices = sorted(distinct)
+        indices = sorted(dict.fromkeys(keys))
         indices.sort(key=len)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "indices", tuple(indices))
@@ -232,14 +219,14 @@ class Code:
 
     @property
     def words(self) -> tuple[Word, ...]:
-        """The words, in shortlex order: the values of :meth:`factor_index`."""
-        return tuple(self.factor_index()[0].values())
+        """The words, in shortlex order, built from ``indices``."""
+        return tuple(self)
 
     def __len__(self) -> int:
         return len(self.indices)
 
     def __iter__(self) -> Iterator[Word]:
-        return iter(self.factor_index()[0].values())
+        return map(Word._from_key, repeat(self.alphabet), self.indices)
 
     def __contains__(self, word: object) -> bool:
         # a binary search of ``indices``, so no Word objects are built
@@ -275,19 +262,18 @@ class Code:
             raise EmptyCodeError("empty code has no minimum word length")
         return len(self.indices[0])
 
-    def factor_index(self) -> tuple[dict[Key, Word], tuple[int, ...]]:
-        """The code's words by their keys, in shortlex order, and the
-        sorted distinct word lengths.
+    def factor_index(self) -> tuple[frozenset[Key], tuple[int, ...]]:
+        """The set of the code's keys and its distinct word lengths,
+        ascending.
 
-        Kept for the life of the code, so factoring many words over one code
-        reads one index; a code built from keys builds it, and its
-        :class:`Word` objects, on first request.  The dict values are the
-        code's own words.
+        Kept for the life of the code, so factoring many words over one
+        code reads one index; it is built on first request.
         """
         try:
             return self._factor_index
         except AttributeError:
-            index = _factor_index(self.indices, map(Word._from_key, repeat(self.alphabet), self.indices))
+            # ``indices`` is shortlex-sorted, so its distinct lengths come in order
+            index = frozenset(self.indices), tuple(dict.fromkeys(map(len, self.indices)))
             object.__setattr__(self, "_factor_index", index)
             return index
 
@@ -300,7 +286,7 @@ class Code:
 
 def unit_code(alphabet: Alphabet) -> Code:
     """The full one-symbol code: every symbol of ``alphabet`` as a word."""
-    return Code(alphabet, (Word._from_key(alphabet, chr(i)) for i in range(alphabet.size)))
+    return Code._from_shortlex(alphabet, tuple(map(chr, range(alphabet.size))))
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,9 +10,10 @@ checkable.  The tests cross-check it against a bounded exhaustive oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
-from .core import Code, Factorization, Key
+from .core import Code, Factorization, Key, Word
 from .errors import CertificateError, ResourceLimitError
 
 DEFAULT_MAX_STATES = 1_000_000
@@ -143,8 +144,8 @@ def _reconstruct(code: Code, parents: dict, terminal: Key):
     words, _ = code.factor_index()
     if not all(t in words for t in (*behind, *ahead)):
         raise CertificateError("reconstructed collision has a factor that is not a code word")
-    left = Factorization(tuple(map(words.__getitem__, behind)))
-    right = Factorization(tuple(map(words.__getitem__, ahead)))
+    left = Factorization(tuple(map(Word._from_key, repeat(code.alphabet), behind)))
+    right = Factorization(tuple(map(Word._from_key, repeat(code.alphabet), ahead)))
     if left.concatenation != right.concatenation or left == right:
         raise CertificateError(f"reconstructed collision {left} / {right} is not a collision")
     return _ordered_pair(left, right)

@@ -355,7 +355,10 @@ def verify(
     leaves the note ``"<check>: SKIPPED (<reason>)"`` instead of a report:
     not UD, empty code, unequal chain values, or a ``ResourceLimitError``,
     whose message the note carries.  Notes count neither as pass nor fail.
+    A ``kmax`` below 2 raises :class:`ValueError` before any check runs.
     """
+    if kmax < 2:
+        raise ValueError(f"kmax must be at least 2, got {kmax}")
     code_is_ud = _is_ud(code, max_states)
     checks = (
         (PropositionId.MCMILLAN, False, lambda: check_mcmillan(code, kmax)),

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cache, reduce
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter, not_, or_
 from typing import Callable, Container, Optional, Sequence
 
@@ -51,8 +51,8 @@ def _first_factors(
     indices: Key, words: Container[Key], lengths: tuple[int, ...]
 ) -> Optional[list[Key]]:
     """The canonical factorization of ``indices`` over the keys in
-    ``words`` (those of a :meth:`Code.factor_index`, or a set of a code's
-    keys), as those keys, read back from the first parents of the module's
+    ``words`` (the key set of a :meth:`Code.factor_index`, or a subset of
+    it), as those keys, read back from the first parents of the module's
     breadth-first search; None if it has none.  ``lengths`` are the keys'
     distinct lengths, ascending."""
     n = len(indices)
@@ -167,8 +167,9 @@ def factorizations(word: Word, code: Code) -> tuple[Factorization, ...]:
     word is not a concatenation of code words.  Counts are computed by
     dynamic programming over prefix boundaries before anything is
     materialized; more than ``DEFAULT_MAX_FACTORIZATIONS`` of them raises
-    :class:`ResourceLimitError` rather than truncating.  Factors are the
-    code's own words, looked up in its :meth:`Code.factor_index`.
+    :class:`ResourceLimitError` rather than truncating.  Factors are
+    tested against the code's key index (:meth:`Code.factor_index`) and
+    built as words equal to the code's own.
     """
     _require_same_alphabet(word, code)
     words, lengths = code.factor_index()
@@ -202,12 +203,12 @@ def factorizations(word: Word, code: Code) -> tuple[Factorization, ...]:
     while stack:
         i, path = stack.pop()
         if i:
-            stack.extend((j, (words[idx[j:i]], path)) for j in preds[i])
+            stack.extend((j, (idx[j:i], path)) for j in preds[i])
             continue
         factors = []
         while path is not None:
             factor, path = path
-            factors.append(factor)
+            factors.append(Word._from_key(word.alphabet, factor))
         results.append(Factorization(tuple(factors)))
     results.sort(key=lambda f: (len(f.factors), f.composition))
     return tuple(results)
@@ -219,15 +220,15 @@ def first_factorization(word: Word, code: Code) -> Optional[Factorization]:
     First means shortlex-minimal factor-length composition: fewest factors,
     then lexicographically smallest lengths.  Returns None when the word
     has no factorization.  Found by the module's canonical search over the
-    code's :meth:`Code.factor_index`, without enumerating; the factors are
-    the code's own words.
+    code's key index (:meth:`Code.factor_index`), without enumerating; the
+    factors are built as words equal to the code's own.
     """
     _require_same_alphabet(word, code)
     words, lengths = code.factor_index()
     factors = _first_factors(word.indices, words, lengths)
     if factors is None:
         return None
-    return Factorization(tuple(map(words.__getitem__, factors)))
+    return Factorization(tuple(map(Word._from_key, repeat(code.alphabet), factors)))
 
 
 def refines(coarse: Code, fine: Code) -> bool:
@@ -292,11 +293,11 @@ def is_irredundant_refinement(coarse: Code, fine: Code) -> bool:
 
     Removing words one at a time is equivalent to the proper-subset
     definition because adding words never destroys factorizability.  Each
-    removal factors over a copy of ``fine``'s own index without the removed
-    word, so no subset code is built.  A removal usually leaves an early
-    coarse word without a factorization, so the removals search the coarse
-    words one at a time and stop at the first that fails, where the batched
-    search behind :func:`refines` would decide every word.  A coarse word
+    removal factors over ``fine``'s key index without the removed key, so
+    no subset code is built.  A removal usually leaves an early coarse word
+    without a factorization, so the removals search the coarse words one
+    at a time and stop at the first that fails, where the batched search
+    behind :func:`refines` would decide every word.  A coarse word
     whose canonical factors, found once when a scan first reaches it, avoid
     the removed word still factors without it and is not searched again.
     """
@@ -305,8 +306,7 @@ def is_irredundant_refinement(coarse: Code, fine: Code) -> bool:
     words, lengths = fine.factor_index()
     canonical = cache(lambda t: _first_factors(t, words, lengths))
     for removed in fine.indices:
-        rest = dict(words)
-        del rest[removed]
+        rest = words - {removed}
         if all(removed not in canonical(t) or _first_factors(t, rest, lengths) is not None for t in coarse.indices):
             return False
     return True

@@ -18,6 +18,7 @@ from codekraft import (
     EmptyWordError,
     MissingAlphabetError,
     UnknownSymbolError,
+    Word,
     emit_code_file,
     export_hasse,
     first_factorization,
@@ -459,13 +460,18 @@ class TestCommands:
         ("refines", fix("unit.code"), fix("single.code")),
     ])
     def test_printing_builds_no_word_index(self, argv, flags, monkeypatch):
-        # parsed codes are key-built too, every code prints from its keys, and
-        # refines factors over a set of the fine code's keys
-        def refuse(self):
+        # parsed codes are key-built too and every code prints from its keys;
+        # refines factors over the fine code's key index
+        def refuse_words(alphabet, key):
+            raise AssertionError(f"word built for {key!r}")
+
+        def refuse_index(self):
             raise AssertionError(f"factor index built for {self.indices}")
 
         expected = run(*flags, *argv)
-        monkeypatch.setattr(cli.Code, "factor_index", refuse)
+        monkeypatch.setattr(Word, "_from_key", refuse_words)
+        if argv[0] != "refines":
+            monkeypatch.setattr(cli.Code, "factor_index", refuse_index)
         assert run(*flags, *argv) == expected
         assert expected[0] == (1 if argv[1:] == (fix("unit.code"), fix("single.code")) else 0)
 
@@ -714,6 +720,9 @@ class TestHasse:
             for n in ("squareword.code", "fine.code", "unit.code")
         ]
         assert export_hasse(parsed) == export_hasse(parsed)
+
+    def test_export_of_no_codes_is_the_empty_graph(self):
+        assert export_hasse([]) == "digraph refinement {\n}\n"
 
 
 @st.composite

@@ -20,8 +20,9 @@ from codekraft import (
     Word,
     concat,
 )
+from codekraft.core import unit_code
 
-from helpers import BINARY, bcode, binary_codes, binary_words_up_to, key_word, without
+from helpers import BINARY, bcode, binary_codes, binary_words_up_to, without
 
 SMALL_CODES = list(binary_codes(4, 3))
 
@@ -153,15 +154,11 @@ class TestCode:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.sampled_from(binary_words_up_to(3)), max_size=12), st.randoms(use_true_random=False))
     def test_input_order_and_duplicates(self, texts, rng):
-        # fresh objects, so the test can tell which of two equal words is kept
-        words = [key_word(BINARY, w.indices) for w in texts]
+        words = list(texts)
         rng.shuffle(words)
         # an equal alphabet that is a different object is accepted
         code = Code(Alphabet("01"), words)
         assert code.words == tuple(sorted(set(words), key=lambda w: w.sort_key))
-        for kept in code.words:
-            first = next(w for w in words if w == kept)
-            assert kept is first
 
     @seed(20261018)
     @settings(max_examples=5, deadline=None)
@@ -198,12 +195,18 @@ class TestCode:
                 assert (probe in built) == expected
             assert not hasattr(built, "_factor_index")
 
-    def test_words_are_built_once(self):
-        built = Code._from_indices(BINARY, ["\x01\x01", "\x00"])
-        first, second = built.words, built.words
-        assert all(a is b for a, b in zip(first, second))
-        assert [w.text for w in built] == ["0", "11"]
-        assert all(a is b for a, b in zip(built, first))
+    def test_words_read_back_in_shortlex_order(self):
+        # words are built from the keys on each read, equal every time
+        for code in (bcode("11", "0", "10"), Code._from_indices(BINARY, ["\x01\x01", "\x00", "\x01\x00"])):
+            assert [w.text for w in code.words] == ["0", "10", "11"]
+            assert code.words == code.words == tuple(code)
+            assert [w.indices for w in code] == list(code.indices)
+
+    def test_unit_code(self):
+        unit = unit_code(Alphabet("ba1"))
+        assert unit.indices == ("\x00", "\x01", "\x02")
+        assert [w.text for w in unit] == ["b", "a", "1"]
+        assert unit == Code(unit.alphabet, map(unit.alphabet.word, "1ab"))
 
     def test_shortlex_iteration(self):
         c = bcode("11", "0")

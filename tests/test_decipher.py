@@ -51,7 +51,8 @@ class TestIsUd:
         # one code built from words, one whose words are built on first read
         for code in (bcode("0", "01", "10"), code_power(bcode("0", "01", "10"), 2)):
             left, right = is_ud(code).witness
-            assert all(any(f is w for w in code.words) for f in left.factors + right.factors)
+            assert all(f in code for f in left.factors + right.factors)
+            assert left.concatenation == right.concatenation
 
     def test_corrupted_parent_map_raises_certificate_error(self):
         code = bcode("0", "01", "11")
@@ -85,7 +86,8 @@ class TestBruteForce:
     def test_witness_factors_are_the_codes_words(self):
         code = bcode("0", "01", "10")
         left, right = is_ud_bruteforce(code, 3).witness
-        assert all(any(f is w for w in code.words) for f in left.factors + right.factors)
+        assert all(f in code for f in left.factors + right.factors)
+        assert left.concatenation == right.concatenation
 
     def test_singleton_never_collides(self):
         for bound in (1, 5, 30):

@@ -28,7 +28,7 @@ from codekraft import (
     power_chain,
     verify,
 )
-from codekraft import cli, decipher
+from codekraft import cli, decipher, props
 from codekraft.core import Code, unit_code
 
 from helpers import BINARY, bcode, binary_codes, random_prefix_codes, random_ud_pairs, refines_by_tuples
@@ -309,6 +309,14 @@ class TestVerify:
     def test_ud_gate_cap_raises(self):
         with pytest.raises(ResourceLimitError):
             verify(fixture_code("fine.code"), max_states=0)
+
+    def test_kmax_below_two_raises_before_any_check(self, monkeypatch):
+        def refuse(code, kmax):
+            raise AssertionError("a check ran before kmax was checked")
+
+        monkeypatch.setattr(props, "check_mcmillan", refuse)
+        with pytest.raises(ValueError, match="kmax must be at least 2, got 1"):
+            verify(fixture_code("prefix.code"), kmax=1)
 
 
 class TestCoverInclusionOnPairs:

@@ -152,22 +152,19 @@ class TestFactorizations:
                     assert first is None
 
 
-def is_own_word(factor, code):
-    return any(factor is w for w in code.words)
-
-
 SMALL_CODES = list(binary_codes(4, 3))
 SHORT_WORDS = binary_words_up_to(3)
 
 
 class TestFactorIndex:
-    """Factoring reads one index per code and returns the code's own words."""
+    """Factoring reads one index per code and returns words of the code."""
 
     def test_witness_factors_are_the_fine_codes_words(self):
         fine = bcode("0", "10", "11")
         for word in code_power(fine, 3):
             factorization = first_factorization(word, fine)
-            assert all(is_own_word(factor, fine) for factor in factorization.factors)
+            assert all(factor in fine for factor in factorization.factors)
+            assert factorization.concatenation == word
 
     @seed(20261018)
     @settings(max_examples=200, deadline=None)
@@ -186,11 +183,13 @@ class TestFactorIndex:
             expected = reference_factorizations(word, c)
             actual = factorizations(word, c)
             assert [f.factors for f in actual] == expected
-            assert all(is_own_word(factor, c) for f in actual for factor in f.factors)
+            assert all(factor in c for f in actual for factor in f.factors)
+            assert all(f.concatenation == word for f in actual)
             first = first_factorization(word, c)
             if expected:
                 assert first.factors == expected[0]
-                assert all(is_own_word(factor, c) for factor in first.factors)
+                assert all(factor in c for factor in first.factors)
+                assert first.concatenation == word
             else:
                 assert first is None
 
