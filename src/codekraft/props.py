@@ -17,16 +17,22 @@ The checks cover:
 * Finiteness: the finer UD codes with the same Kraft sum, enumerated.
 * Equal-Kraft chains: strict descent plus exact Kraft equality, with the
   equal-Kraft refinement count of every member reported.
+
+One :func:`verify` call decides each fact once (UD verdicts, Kraft sums,
+code powers, equal-Kraft refinements) and forgets them when it returns.
+Monotonicity against the full one-symbol code is computed from |C|,
+maxlen(C) and the symbols used, without factoring.
 """
 
 from __future__ import annotations
 
 import enum
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Code, unit_code
-from .decipher import DEFAULT_MAX_STATES, _is_ud, is_ud
+from .decipher import DEFAULT_MAX_STATES, UdVerdict, _is_ud, is_ud
 from .errors import ChainViolationError, NotRefinementError, ResourceLimitError
 from .kraft import exact_str, kraft_sum
 from .power import DEFAULT_MAX_POWER_WORDS, code_power
@@ -74,6 +80,32 @@ class PropositionReport:
         return default
 
 
+# one verify call's max_states and the facts it has decided, by (function,
+# alphabet, keys, *arguments); unset outside verify, so nothing outlives a call
+_run: ContextVar[tuple[int, dict | None]] = ContextVar("_run", default=(DEFAULT_MAX_STATES, None))
+
+
+def _once(function, code: Code, *args):
+    """``function(code, *args)``, computed once per verify call."""
+    memo = _run.get()[1]
+    if memo is None:
+        return function(code, *args)
+    key = (function, code.alphabet, code.indices, *args)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = function(code, *args)
+    return value
+
+
+def _verdict(code: Code) -> UdVerdict:
+    return _once(is_ud, code, _run.get()[0])
+
+
+def _holds_ud(code: Code) -> bool:
+    # outside verify a gate builds no witness; inside, it reads the one verdict
+    return _is_ud(code) if _run.get()[1] is None else _verdict(code).is_ud
+
+
 def _effective_kmax(cardinality: int, kmax: int, max_words: int) -> int:
     k = kmax
     while k > 1 and cardinality**k > max_words:
@@ -88,8 +120,8 @@ def check_mcmillan(code: Code, kmax: int = 3) -> PropositionReport:
     K^k <= (m-1)k + 1 for k up to ``kmax``, where m is the cover exponent
     of the code against the full one-symbol code.
     """
-    verdict = is_ud(code)
-    value = kraft_sum(code)
+    verdict = _verdict(code)
+    value = _once(kraft_sum, code)
     details: list[Detail] = [("is_ud", verdict.is_ud), ("kraft_sum", value), ("bound", 1)]
     parameters: list[Detail] = [("kmax", kmax)]
     if not verdict.is_ud:
@@ -126,8 +158,8 @@ def check_power_law(
     """
     if kmax < 2:
         raise ValueError(f"kmax must be at least 2, got {kmax}")
-    verdict = is_ud(code)
-    value = kraft_sum(code)
+    verdict = _verdict(code)
+    value = _once(kraft_sum, code)
     effective = _effective_kmax(len(code), kmax, max_power_words)
     details: list[Detail] = [("is_ud", verdict.is_ud), ("kraft_sum", value)]
     parameters: list[Detail] = [
@@ -140,7 +172,7 @@ def check_power_law(
 
     def compare(k: int) -> tuple[Fraction, Fraction]:
         if k not in computed:
-            lhs = kraft_sum(code_power(code, k, max_power_words))
+            lhs = _once(kraft_sum, _once(code_power, code, k, max_power_words))
             rhs = value**k
             computed[k] = (lhs, rhs)
             details.append((f"k={k}.kraft_of_power", lhs))
@@ -182,19 +214,25 @@ def check_monotonicity(
     asserts K(coarse) <= K(fine), strictly when the refinement is not
     irredundant.  Factor counts are those of the canonical factorizations,
     and the powers are factored as keys, building no words.
+
+    Against the full one-symbol code U a word's factors are its symbols,
+    so nothing is factored: coarse^k has |coarse|^k words, each within
+    [k, m*k], and U is irredundant iff coarse uses every symbol.
     """
-    if not _is_ud(coarse):
+    if not _holds_ud(coarse):
         raise ValueError("monotonicity check requires a UD coarse code")
-    if not _is_ud(fine):
+    if not _holds_ud(fine):
         raise ValueError("monotonicity check requires a UD fine code")
-    words, lengths = fine.factor_index()
-    if not refines(coarse, fine):
-        failing = next(t for t in coarse.indices if _first_factors(t, words, lengths) is None)
-        raise NotRefinementError(
-            f"{fine} does not refine {coarse}: no factorization of {failing.translate(coarse.alphabet.symbols)!r}"
-        )
-    value_coarse = kraft_sum(coarse)
-    value_fine = kraft_sum(fine)
+    unit = fine == unit_code(coarse.alphabet)
+    if not unit:
+        words, lengths = fine.factor_index()
+        if not refines(coarse, fine):
+            failing = next(t for t in coarse.indices if _first_factors(t, words, lengths) is None)
+            raise NotRefinementError(
+                f"{fine} does not refine {coarse}: no factorization of {failing.translate(coarse.alphabet.symbols)!r}"
+            )
+    value_coarse = _once(kraft_sum, coarse)
+    value_fine = _once(kraft_sum, fine)
     details: list[Detail] = [
         ("kraft_coarse", value_coarse),
         ("kraft_fine", value_fine),
@@ -207,7 +245,10 @@ def check_monotonicity(
         effective = _effective_kmax(len(coarse), kmax, max_power_words)
         parameters.append(("effective_kmax", effective))
         for k in range(1, effective + 1):
-            power = code_power(coarse, k, max_power_words)
+            if unit:
+                details.append((f"k={k}.words_checked", len(coarse) ** k))
+                continue
+            power = _once(code_power, coarse, k, max_power_words)
             for t in power.indices:
                 factors = _first_factors(t, words, lengths)
                 if factors is None:
@@ -221,7 +262,8 @@ def check_monotonicity(
                         (f"k={k}.violated", f"{t.translate(coarse.alphabet.symbols)} uses {j} factors, outside [{k}, {m * k}]")
                     )
             details.append((f"k={k}.words_checked", len(power)))
-    irredundant = is_irredundant_refinement(coarse, fine)
+    irredundant = (len(set().union(*coarse.indices)) == coarse.alphabet.size if unit
+                   else is_irredundant_refinement(coarse, fine))
     details.append(("irredundant", irredundant))
     if value_coarse > value_fine:
         passed = False
@@ -248,10 +290,11 @@ def equal_kraft_refinements(code: Code, max_candidates: int = DEFAULT_MAX_CANDID
     unions that pass both tests.  Every code the enumeration returns passed
     the UD test as a union, so only exact Kraft equality is checked here.
     """
-    if not _is_ud(code):
+    if not _holds_ud(code):
         raise ValueError("equal-Kraft refinement enumeration requires a UD code")
-    value = kraft_sum(code)
+    value = _once(kraft_sum, code)
     alphabet = code.alphabet
+    max_states = _run.get()[0]
     r = alphabet.size
     # blocks are no longer than maxlen(code), so K(S) <= K(code) is exact in
     # integers over the common denominator r^top
@@ -261,19 +304,19 @@ def equal_kraft_refinements(code: Code, max_candidates: int = DEFAULT_MAX_CANDID
     def admissible(blocks) -> bool:
         if sum(r ** (top - len(t)) for t in blocks) > budget:
             return False
-        return _is_ud(Code._from_indices(alphabet, blocks))
+        return _is_ud(Code._from_indices(alphabet, blocks), max_states)
 
     # the enumeration's canonical order survives the filter
     refinements = irredundant_refinements(code, max_candidates, admissible=admissible)
-    return tuple(candidate for candidate in refinements if kraft_sum(candidate) == value)
+    return tuple(candidate for candidate in refinements if _once(kraft_sum, candidate) == value)
 
 
 def check_equal_kraft_finiteness(
     code: Code, max_candidates: int = DEFAULT_MAX_CANDIDATES
 ) -> PropositionReport:
     """Enumerate the equal-Kraft UD refinements and re-verify each member."""
-    members = equal_kraft_refinements(code, max_candidates)
-    value = kraft_sum(code)
+    members = _once(equal_kraft_refinements, code, max_candidates)
+    value = _once(kraft_sum, code)
     details: list[Detail] = [("kraft_sum", value), ("count", len(members))]
     parameters: list[Detail] = [("max_candidates", max_candidates)]
     passed = code in members
@@ -281,7 +324,7 @@ def check_equal_kraft_finiteness(
         details.append(("violated", "code is not among its own equal-Kraft refinements"))
     for i, member in enumerate(members):
         details.append((f"member_{i}", str(member)))
-        if not (_is_ud(member) and refines(code, member) and kraft_sum(member) == value):
+        if not (_holds_ud(member) and refines(code, member) and _once(kraft_sum, member) == value):
             passed = False
             details.append((f"member_{i}.violated", "not a UD equal-Kraft refinement"))
     return PropositionReport(
@@ -300,7 +343,7 @@ def check_chain(chain, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> Proposit
     """
     members = tuple(chain)
     for i, member in enumerate(members):
-        if not _is_ud(member):
+        if not _holds_ud(member):
             raise ValueError(f"chain member {i} is not uniquely decipherable")
     for i in range(len(members) - 1):
         previous, following = members[i], members[i + 1]
@@ -310,7 +353,7 @@ def check_chain(chain, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> Proposit
             raise ChainViolationError(
                 f"member {i} does not refine member {i + 1}", index=i
             )
-        value_previous, value_following = kraft_sum(previous), kraft_sum(following)
+        value_previous, value_following = _once(kraft_sum, previous), _once(kraft_sum, following)
         if value_previous != value_following:
             raise ChainViolationError(
                 f"Kraft values differ at members {i} and {i + 1}: "
@@ -320,10 +363,10 @@ def check_chain(chain, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> Proposit
     details: list[Detail] = [("length", len(members))]
     parameters: list[Detail] = [("max_candidates", max_candidates)]
     if members:
-        details.append(("kraft_sum", kraft_sum(members[0])))
+        details.append(("kraft_sum", _once(kraft_sum, members[0])))
     for i, member in enumerate(members):
         details.append((f"member_{i}.cardinality", len(member)))
-        details.append((f"member_{i}.equal_kraft_refinements", len(equal_kraft_refinements(member, max_candidates))))
+        details.append((f"member_{i}.equal_kraft_refinements", len(_once(equal_kraft_refinements, member, max_candidates))))
     return PropositionReport(PropositionId.EQUAL_KRAFT_CHAIN, True, tuple(details), tuple(parameters))
 
 
@@ -331,8 +374,8 @@ def _check_power_chain(code: Code, max_power_words: int, max_candidates: int) ->
     if not len(code):
         return "SKIPPED (empty code)"
     # check_chain decides descent, so C^2 is factored over C only there
-    members = (code, code_power(code, 2, max_power_words)) if len(code) ** 2 <= max_power_words else (code,)
-    values = tuple(map(kraft_sum, members))
+    members = (code, _once(code_power, code, 2, max_power_words)) if len(code) ** 2 <= max_power_words else (code,)
+    values = tuple(_once(kraft_sum, member) for member in members)
     if len(set(values)) != 1:
         return f"SKIPPED (power-chain Kraft values differ: {', '.join(map(exact_str, values))})"
     return check_chain(members, max_candidates)
@@ -350,6 +393,7 @@ def verify(
     McMillan and the power law always run; monotonicity (against the full
     one-symbol code), equal-Kraft finiteness and the equal-Kraft chain need
     a UD code, decided once with ``max_states`` (that cap raises).  The
+    same ``max_states`` bounds every other saturation the checks run.  The
     chain is C, C^2 when |C|^2 <= ``max_power_words``, else C alone, and is
     checked only if its Kraft values are equal.  A check that does not run
     leaves the note ``"<check>: SKIPPED (<reason>)"`` instead of a report:
@@ -359,7 +403,6 @@ def verify(
     """
     if kmax < 2:
         raise ValueError(f"kmax must be at least 2, got {kmax}")
-    code_is_ud = _is_ud(code, max_states)
     checks = (
         (PropositionId.MCMILLAN, False, lambda: check_mcmillan(code, kmax)),
         (PropositionId.POWER_LAW, False, lambda: check_power_law(code, kmax, max_power_words)),
@@ -370,13 +413,18 @@ def verify(
     )
     reports: list[PropositionReport] = []
     notes: list[str] = []
-    for proposition, needs_ud, check in checks:
-        try:
-            outcome = check() if code_is_ud or not needs_ud else "SKIPPED (code is not uniquely decipherable)"
-        except ResourceLimitError as exc:
-            outcome = f"SKIPPED (resource limit: {exc})"
-        if isinstance(outcome, PropositionReport):
-            reports.append(outcome)
-        else:
-            notes.append(f"{proposition.value}: {outcome}")
+    token = _run.set((max_states, {}))
+    try:
+        code_is_ud = _verdict(code).is_ud
+        for proposition, needs_ud, check in checks:
+            try:
+                outcome = check() if code_is_ud or not needs_ud else "SKIPPED (code is not uniquely decipherable)"
+            except ResourceLimitError as exc:
+                outcome = f"SKIPPED (resource limit: {exc})"
+            if isinstance(outcome, PropositionReport):
+                reports.append(outcome)
+            else:
+                notes.append(f"{proposition.value}: {outcome}")
+    finally:
+        _run.reset(token)
     return tuple(reports), tuple(notes)

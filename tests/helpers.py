@@ -7,7 +7,22 @@ import itertools
 import random
 from operator import attrgetter
 
-from codekraft import Alphabet, Code, UdVerdict, Word, concat, factorizations, is_ud
+from codekraft import (
+    Alphabet,
+    Code,
+    PropositionId,
+    PropositionReport,
+    UdVerdict,
+    Word,
+    code_power,
+    concat,
+    factorizations,
+    first_factorization,
+    is_irredundant_refinement,
+    is_ud,
+    kraft_sum,
+)
+from codekraft.power import DEFAULT_MAX_POWER_WORDS
 
 BINARY = Alphabet("01")
 
@@ -260,3 +275,42 @@ def refines_by_tuples(coarse: Code, fine: Code) -> bool:
 def power_by_tuples(tuples, k: int) -> list[tuple[int, ...]]:
     """The k-th power of a code of int tuples, in shortlex order."""
     return shortlex_tuples(sum(combo, ()) for combo in itertools.product(tuples, repeat=k))
+
+
+def monotonicity_report(
+    coarse: Code, fine: Code, kmax: int = 3, max_power_words: int = DEFAULT_MAX_POWER_WORDS
+) -> PropositionReport:
+    """Reference for ``check_monotonicity`` on a UD pair ``coarse`` <= ``fine``:
+    every word of coarse^k is factored over ``fine`` by the public
+    ``first_factorization`` and its factor count checked against [k, m*k]."""
+    value_coarse, value_fine = kraft_sum(coarse), kraft_sum(fine)
+    details = [("kraft_coarse", value_coarse), ("kraft_fine", value_fine)]
+    parameters = [("kmax", kmax), ("max_power_words", max_power_words)]
+    passed = True
+    if len(coarse) and len(fine):
+        m = coarse.max_len() // fine.min_len()
+        details.append(("cover_exponent_m", m))
+        effective = kmax
+        while effective > 1 and len(coarse) ** effective > max_power_words:
+            effective -= 1
+        parameters.append(("effective_kmax", effective))
+        for k in range(1, effective + 1):
+            power = code_power(coarse, k, max_power_words)
+            for word in power:
+                factorization = first_factorization(word, fine)
+                if factorization is None:
+                    passed = False
+                    details.append((f"k={k}.violated", f"{word} has no factorization"))
+                elif not k <= len(factorization.factors) <= m * k:
+                    passed = False
+                    details.append((f"k={k}.violated", f"{word} uses {len(factorization.factors)} factors, outside [{k}, {m * k}]"))
+            details.append((f"k={k}.words_checked", len(power)))
+    irredundant = is_irredundant_refinement(coarse, fine)
+    details.append(("irredundant", irredundant))
+    if value_coarse > value_fine:
+        passed = False
+        details.append(("violated", "K(coarse) > K(fine)"))
+    elif not irredundant and value_coarse == value_fine:
+        passed = False
+        details.append(("violated", "redundant refinement but K(coarse) = K(fine)"))
+    return PropositionReport(PropositionId.MONOTONICITY, passed, tuple(details), tuple(parameters))

@@ -1,7 +1,9 @@
 """Proposition checks: reports, assertions, and generated sweeps."""
 
+import contextvars
 import io
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -175,9 +177,13 @@ class TestMonotonicity:
             return factor_index(self)
 
         monkeypatch.setattr(Code, "factor_index", recording)
-        fine = unit_code(BINARY)
-        assert check_monotonicity(bcode("0", "10", "11"), fine).passed
+        fine = bcode("0", "10", "11")
+        assert check_monotonicity(bcode("00", "011", "1110"), fine).passed
         assert indexed and all(code is fine for code in indexed)
+        # against the unit code the report is a closed form: nothing is factored
+        indexed.clear()
+        assert check_monotonicity(fine, unit_code(BINARY)).passed
+        assert not indexed
 
 
 class TestEqualKraftRefinements:
@@ -317,6 +323,64 @@ class TestVerify:
         monkeypatch.setattr(props, "check_mcmillan", refuse)
         with pytest.raises(ValueError, match="kmax must be at least 2, got 1"):
             verify(fixture_code("prefix.code"), kmax=1)
+
+    def test_each_fact_is_decided_once_per_call(self, monkeypatch):
+        code = bcode("0", "10", "110", "111")
+        calls = Counter()
+
+        def counting(name):
+            function = getattr(props, name)
+
+            def counted(subject, *args):
+                if subject == code:
+                    calls[name, *args[:1]] += 1
+                return function(subject, *args)
+
+            monkeypatch.setattr(props, name, counted)
+
+        for name in ("is_ud", "_is_ud", "equal_kraft_refinements", "code_power"):
+            counting(name)
+        reports, notes = verify(code)
+        assert all(report.passed for report in reports) and notes == ()
+        # no gate saturates C again; the enumerations of C and of C^2 each
+        # test C's keys once, as one of their partial unions
+        assert calls == {("is_ud", 1_000_000): 1, ("_is_ud", 1_000_000): 2, ("equal_kraft_refinements", 1_000_000): 1,
+                         ("code_power", 1): 1, ("code_power", 2): 1, ("code_power", 3): 1}
+        calls.clear()
+        assert verify(code) == (reports, notes)
+        assert calls["is_ud", 1_000_000] == calls["code_power", 2] == 1
+
+    def test_no_memo_outlives_a_call(self, monkeypatch):
+        def unset():
+            return props._run not in contextvars.copy_context()
+
+        assert unset()
+        verify(fixture_code("prefix.code"))
+        assert unset()
+        with pytest.raises(ResourceLimitError):
+            verify(fixture_code("fine.code"), max_states=0)
+        assert unset()
+
+        def refuse(code, kmax):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(props, "check_mcmillan", refuse)
+        with pytest.raises(ValueError, match="refused"):
+            verify(fixture_code("prefix.code"))
+        assert unset()
+
+    def test_max_states_reaches_every_saturation(self):
+        # {0, 10, 11} and its square are prefix codes, without a dangling
+        # suffix, but partial unions that the square's enumeration tests
+        # have some
+        code = fixture_code("prefix.code")
+        assert verify(code)[1] == ()
+        note = "equal-kraft-chain: SKIPPED (resource limit: dangling-suffix iteration exceeded 0 states)"
+        reports, notes = verify(code, max_states=0)
+        assert reports == verify(code)[0][:4] and notes == (note,)
+        out = io.StringIO()
+        status = cli.run_command(["--max-states", "0", "verify", str(FIXTURES / "prefix.code")], out, io.StringIO())
+        assert status == 0 and note in out.getvalue().splitlines()
 
 
 class TestCoverInclusionOnPairs:
