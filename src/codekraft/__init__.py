@@ -39,13 +39,7 @@ from .props import (
     equal_kraft_refinements,
     verify,
 )
-from .refine import (
-    factorizations,
-    first_factorization,
-    irredundant_refinements,
-    is_irredundant_refinement,
-    refines,
-)
+from .refine import first_factorization, irredundant_refinements, is_irredundant_refinement, refines
 from .cli import CodeFile, emit_code_file, export_hasse, parse_code_file, run_command
 
 __version__ = "0.1.0"
@@ -83,7 +77,6 @@ __all__ = [
     "equal_kraft_refinements",
     "exact_str",
     "export_hasse",
-    "factorizations",
     "first_factorization",
     "irredundant_refinements",
     "is_irredundant_refinement",

@@ -34,7 +34,7 @@ from .errors import (
     ResourceLimitError,
     UnknownSymbolError,
 )
-from .kraft import approx_str, exact_str, kraft_sum
+from .kraft import _int_str, approx_str, exact_str, kraft_sum
 from .power import DEFAULT_MAX_POWER_WORDS, code_power, power_chain
 from .props import PropositionId, PropositionReport, verify
 from .refine import DEFAULT_MAX_CANDIDATES, _first_factors, _require_same_alphabet, irredundant_refinements, refines
@@ -119,7 +119,7 @@ def _load(path: str, err: IO[str]) -> CodeFile:
 def _json_default(value):
     # json.dumps calls this for each value it cannot write itself
     if isinstance(value, Fraction):
-        return {"num": str(value.numerator), "den": str(value.denominator)}
+        return {"num": _int_str(value.numerator), "den": _int_str(value.denominator)}
     if isinstance(value, PropositionReport):
         return {"id": value.proposition_id.value, "passed": value.passed,
                 "parameters": dict(value.parameters), "details": dict(value.details)}

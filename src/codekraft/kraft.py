@@ -40,9 +40,16 @@ def kraft_sum(code: Code) -> Fraction:
     return Fraction(numerator, r**top)
 
 
+def _int_str(n: int) -> str:
+    """``str(n)`` at any size.  ``str`` refuses an int of more than 4,300
+    digits (``sys.set_int_max_str_digits``, a process-wide setting this
+    library leaves alone); a Decimal built from an int prints all of them."""
+    return str(Decimal(n))
+
+
 def exact_str(value: Fraction) -> str:
     """Render a rational as ``num/den`` in lowest terms (den always shown)."""
-    return f"{value.numerator}/{value.denominator}"
+    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
 def approx_str(value: Fraction) -> str:

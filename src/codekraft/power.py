@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .core import Code, Key
 from .errors import EmptyCodeError, ResourceLimitError
-from .kraft import kraft_sum
+from .kraft import _int_str, kraft_sum
 from .refine import refines
 
 DEFAULT_MAX_POWER_WORDS = 100_000
@@ -80,7 +80,7 @@ def code_power(code: Code, k: int, max_words: int = DEFAULT_MAX_POWER_WORDS) -> 
     count = len(code) ** k
     if count > max_words:
         raise ResourceLimitError(
-            f"|code|^k = {count} exceeds the cap of {max_words}", limit=max_words, count=count
+            f"|code|^k = {_int_str(count)} exceeds the cap of {max_words}", limit=max_words, count=count
         )
     if not code.indices:
         return code

@@ -20,8 +20,11 @@ The checks cover:
 
 One :func:`verify` call decides each fact once (UD verdicts, Kraft sums,
 code powers, equal-Kraft refinements) and forgets them when it returns.
-Monotonicity against the full one-symbol code is computed from |C|,
-maxlen(C) and the symbols used, without factoring.
+Every UD gate reads the code's :func:`is_ud` verdict, decided once per
+call; only the equal-Kraft enumeration tests its partial unions with a
+verdict that builds no witness.  Monotonicity against the full one-symbol
+code is computed from |C|, maxlen(C) and the symbols used, without
+factoring.
 """
 
 from __future__ import annotations
@@ -99,11 +102,6 @@ def _once(function, code: Code, *args):
 
 def _verdict(code: Code) -> UdVerdict:
     return _once(is_ud, code, _run.get()[0])
-
-
-def _holds_ud(code: Code) -> bool:
-    # outside verify a gate builds no witness; inside, it reads the one verdict
-    return _is_ud(code) if _run.get()[1] is None else _verdict(code).is_ud
 
 
 def _effective_kmax(cardinality: int, kmax: int, max_words: int) -> int:
@@ -219,9 +217,9 @@ def check_monotonicity(
     so nothing is factored: coarse^k has |coarse|^k words, each within
     [k, m*k], and U is irredundant iff coarse uses every symbol.
     """
-    if not _holds_ud(coarse):
+    if not _verdict(coarse).is_ud:
         raise ValueError("monotonicity check requires a UD coarse code")
-    if not _holds_ud(fine):
+    if not _verdict(fine).is_ud:
         raise ValueError("monotonicity check requires a UD fine code")
     unit = fine == unit_code(coarse.alphabet)
     if not unit:
@@ -290,7 +288,7 @@ def equal_kraft_refinements(code: Code, max_candidates: int = DEFAULT_MAX_CANDID
     unions that pass both tests.  Every code the enumeration returns passed
     the UD test as a union, so only exact Kraft equality is checked here.
     """
-    if not _holds_ud(code):
+    if not _verdict(code).is_ud:
         raise ValueError("equal-Kraft refinement enumeration requires a UD code")
     value = _once(kraft_sum, code)
     alphabet = code.alphabet
@@ -324,7 +322,7 @@ def check_equal_kraft_finiteness(
         details.append(("violated", "code is not among its own equal-Kraft refinements"))
     for i, member in enumerate(members):
         details.append((f"member_{i}", str(member)))
-        if not (_holds_ud(member) and refines(code, member) and _once(kraft_sum, member) == value):
+        if not (_verdict(member).is_ud and refines(code, member) and _once(kraft_sum, member) == value):
             passed = False
             details.append((f"member_{i}.violated", "not a UD equal-Kraft refinement"))
     return PropositionReport(
@@ -343,7 +341,7 @@ def check_chain(chain, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> Proposit
     """
     members = tuple(chain)
     for i, member in enumerate(members):
-        if not _holds_ud(member):
+        if not _verdict(member).is_ud:
             raise ValueError(f"chain member {i} is not uniquely decipherable")
     for i in range(len(members) - 1):
         previous, following = members[i], members[i + 1]

@@ -5,7 +5,7 @@ A code D is finer than C (written C <= D) when every word of C is a
 concatenation of D-words.  D is an irredundant refinement of C when no
 proper subset of D is still finer than C.
 
-Three searches cut words at the boundaries of code words, one per question:
+Two searches cut words at the boundaries of code words, one per question:
 
 * The canonical factors of one word, for witnesses and factor counts:
   :func:`_first_factors` runs one breadth-first search over the word's
@@ -23,8 +23,6 @@ Three searches cut words at the boundaries of code words, one per question:
   words of one length and first factor form a span, found by binary search,
   and spans with equal remainders share them.  Small sets, and sets that
   share few remainders, fall back to the per-word search.
-* Every factorization of one word: :func:`factorizations` counts them by
-  dynamic programming over prefix boundaries, then walks them all.
 """
 
 from __future__ import annotations
@@ -37,8 +35,8 @@ from typing import Callable, Container, Optional, Sequence
 
 from .core import Code, Factorization, Key, Word
 from .errors import MixedAlphabetsError, ResourceLimitError
+from .kraft import _int_str
 
-DEFAULT_MAX_FACTORIZATIONS = 10_000
 DEFAULT_MAX_CANDIDATES = 1_000_000
 
 
@@ -159,61 +157,6 @@ def _cut(keys: Sequence[Key], pieces: list) -> Optional[tuple[list[int], list[li
     return shared, blocks, ordered
 
 
-def factorizations(word: Word, code: Code) -> tuple[Factorization, ...]:
-    """All distinct factorizations of ``word`` into code words.
-
-    Returned in shortlex order of their factor-length compositions (fewer
-    factors first, then lexicographic on the length tuple); empty when the
-    word is not a concatenation of code words.  Counts are computed by
-    dynamic programming over prefix boundaries before anything is
-    materialized; more than ``DEFAULT_MAX_FACTORIZATIONS`` of them raises
-    :class:`ResourceLimitError` rather than truncating.  Factors are
-    tested against the code's key index (:meth:`Code.factor_index`) and
-    built as words equal to the code's own.
-    """
-    _require_same_alphabet(word, code)
-    words, lengths = code.factor_index()
-    idx = word.indices
-    n = len(idx)
-    preds: list[list[int]] = [[] for _ in range(n + 1)]
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    for i in range(1, n + 1):
-        total = 0
-        for length in lengths:
-            if length > i:
-                break
-            j = i - length
-            if counts[j] and idx[j:i] in words:
-                preds[i].append(j)
-                total += counts[j]
-        counts[i] = total
-    if counts[n] == 0:
-        return ()
-    if counts[n] > DEFAULT_MAX_FACTORIZATIONS:
-        raise ResourceLimitError(
-            f"word has {counts[n]} factorizations, more than the cap of {DEFAULT_MAX_FACTORIZATIONS}",
-            limit=DEFAULT_MAX_FACTORIZATIONS,
-            count=counts[n],
-        )
-    results: list[Factorization] = []
-    # walk back from the end without recursion; a path holds the factors
-    # after its boundary as a linked list (factor, rest), first factor first
-    stack = [(n, None)]
-    while stack:
-        i, path = stack.pop()
-        if i:
-            stack.extend((j, (idx[j:i], path)) for j in preds[i])
-            continue
-        factors = []
-        while path is not None:
-            factor, path = path
-            factors.append(Word._from_key(word.alphabet, factor))
-        results.append(Factorization(tuple(factors)))
-    results.sort(key=lambda f: (len(f.factors), f.composition))
-    return tuple(results)
-
-
 def first_factorization(word: Word, code: Code) -> Optional[Factorization]:
     """The canonically first factorization of ``word`` over ``code``.
 
@@ -321,7 +264,7 @@ def _composition_block_sets(idx: Key, max_candidates: int) -> set[frozenset[Key]
     total = 1 << (n - 1)
     if total > max_candidates:
         raise ResourceLimitError(
-            f"word of length {n} has {total} compositions, more than the cap of {max_candidates}",
+            f"word of length {n} has {_int_str(total)} compositions, more than the cap of {max_candidates}",
             limit=max_candidates,
             count=total,
         )

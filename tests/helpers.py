@@ -10,13 +10,13 @@ from operator import attrgetter
 from codekraft import (
     Alphabet,
     Code,
+    Factorization,
     PropositionId,
     PropositionReport,
     UdVerdict,
     Word,
     code_power,
     concat,
-    factorizations,
     first_factorization,
     is_irredundant_refinement,
     is_ud,
@@ -149,7 +149,8 @@ def is_ud_bruteforce(code: Code, max_total_len: int) -> UdVerdict:
 def _bruteforce_witness(code: Code, key: str):
     # the two least compositions, not the first two in shortlex order,
     # ordered as is_ud orders its witness pair
-    left, right, *_ = sorted(factorizations(key_word(code.alphabet, key), code), key=attrgetter("composition"))
+    splits = map(Factorization, splitter(key_word(code.alphabet, key), code))
+    left, right, *_ = sorted(splits, key=attrgetter("composition"))
     return tuple(sorted((left, right), key=attrgetter("sort_key")))
 
 

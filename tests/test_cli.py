@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -592,6 +593,63 @@ class TestJsonMode:
     def test_big_integers_survive_as_strings(self):
         payload = json.loads(run("--json", "kraft", fix("single.code"))[1])
         assert payload["exact_values"]["kraft_sum"] == {"num": "1", "den": "16"}
+
+
+def digits(text: str) -> int:
+    # int(text) refuses more than 4,300 digits, as str(int) does
+    return int(Decimal(text))
+
+
+class TestIntegersPastTheDigitLimit:
+    """Python's str refuses an int of more than 4,300 digits; every exact
+    value and cap message prints in full, whatever its size."""
+
+    @pytest.fixture
+    def long_word(self, tmp_path):
+        # K = 2^-15000, whose denominator has 4,516 digits
+        path = tmp_path / "long.code"
+        path.write_text("alphabet 01\n" + "0" * 15_000 + "\n", encoding="utf-8")
+        return str(path)
+
+    def test_kraft(self, long_word):
+        status, out, err = run("kraft", long_word)
+        assert (status, err) == (0, "")
+        num, den = out.partition(" (≈ ")[0].split("/")
+        assert (num, digits(den)) == ("1", 2**15_000)
+        payload = json.loads(run("--json", "kraft", long_word)[1])
+        assert digits(payload["exact_values"]["kraft_sum"]["den"]) == 2**15_000
+
+    def test_json_verify_at_a_large_kmax(self, tmp_path):
+        # K = 2/2^10 = 1/512, and 512^k has more than 4,300 digits from k = 1,588 on
+        path = tmp_path / "pair.code"
+        path.write_text("alphabet 01\n0000000000\n0000000001\n", encoding="utf-8")
+        status, out, err = run("--json", "verify", "--kmax", "1600", str(path))
+        assert (status, err) == (0, "")
+        mcmillan = json.loads(out)["witnesses"]["reports"][0]
+        value = mcmillan["details"]["k=1600.kraft_pow"]
+        assert (value["num"], digits(value["den"])) == ("1", 512**1600)
+
+    def test_chain(self):
+        status, out, err = run("chain", "-n", "12", fix("single.code"))
+        assert (status, err) == (0, "")
+        top = out.splitlines()[-3]
+        assert top.startswith("C^4096: 1 words, K = 1/")
+        assert digits(top.split("/")[1].split(" ")[0]) == 16**4096
+
+    def test_power_cap_message(self):
+        status, out, err = run("power", "-k", "20000", fix("prefix.code"))
+        assert (status, out) == (3, "")
+        count, cap = err.removeprefix("error: |code|^k = ").split(" exceeds the cap of ")
+        assert (digits(count), cap) == (3**20_000, "100000\n")
+
+    def test_verify_skips_the_composition_cap(self, long_word):
+        status, out, err = run("verify", long_word)
+        assert (status, err) == (0, "")
+        assert out.splitlines()[-1] == "verify: PASS"
+        (note,) = [line for line in out.splitlines() if line.startswith("equal-kraft-finiteness:")]
+        count = note.removeprefix("equal-kraft-finiteness: SKIPPED (resource limit: word of length 15000 has ")
+        count, cap = count.split(" compositions, more than the cap of ")
+        assert (digits(count), cap) == (2**14_999, "1000000)")
 
 
 def refines_rendering(coarse_path, fine_path, json_mode):

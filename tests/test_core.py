@@ -281,7 +281,7 @@ class TestPublicApi:
         "ResourceLimitError", "UdVerdict", "UnknownSymbolError", "Word",
         "approx_str", "check_chain", "check_equal_kraft_finiteness", "check_mcmillan",
         "check_monotonicity", "check_power_law", "code_power", "concat",
-        "emit_code_file", "equal_kraft_refinements", "exact_str", "export_hasse", "factorizations",
+        "emit_code_file", "equal_kraft_refinements", "exact_str", "export_hasse",
         "first_factorization", "irredundant_refinements", "is_irredundant_refinement",
         "is_ud", "kraft_sum", "parse_code_file", "power_chain", "refines",
         "run_command", "verify",

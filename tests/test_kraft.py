@@ -1,6 +1,7 @@
 """Exact Kraft sums: examples, algebraic laws, corpus bounds."""
 
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,11 @@ class TestRendering:
         assert exact_str(Fraction(1)) == "1/1"
         assert exact_str(Fraction(0)) == "0/1"
         assert exact_str(Fraction(9, 16)) == "9/16"
+
+    def test_exact_str_past_the_digit_limit(self):
+        # str refuses an int of more than 4,300 digits; 3^10000 has 4,772
+        num, den = exact_str(Fraction(3**10_000, 2**15_000)).split("/")
+        assert (int(Decimal(num)), int(Decimal(den))) == (3**10_000, 2**15_000)
 
     @pytest.mark.parametrize(
         "value,expected",

@@ -17,7 +17,6 @@ from codekraft import (
     check_monotonicity,
     code_power,
     concat,
-    factorizations,
     first_factorization,
     irredundant_refinements,
     is_irredundant_refinement,
@@ -62,8 +61,8 @@ def substring_closure(code):
 
 def reference_factorizations(word, code):
     """Naive DP oracle: every factorization of each suffix of ``word``, built
-    right to left from membership tests on freshly built words, in the order
-    ``factorizations`` promises (factor count, then factor lengths)."""
+    right to left from membership tests on freshly built words, in shortlex
+    order of their compositions (factor count, then factor lengths)."""
     idx = word.indices
     n = len(idx)
     tails = [[] for _ in range(n)] + [[()]]
@@ -87,16 +86,17 @@ def brute_force_irredundant(coarse):
 
 
 class TestFactorizations:
+    """The canonical factorization against ``splitter``, which lists them all."""
+
     def test_two_way_split(self):
-        fs = factorizations(BINARY.word("010"), bcode("0", "01", "10"))
-        assert [str(f) for f in fs] == ["0·10", "01·0"]
+        # 0·10 and 01·0 both have two factors; lengths (1, 2) come first
+        assert str(first_factorization(BINARY.word("010"), bcode("0", "01", "10"))) == "0·10"
 
     def test_word_factors_as_itself(self):
-        fs = factorizations(BINARY.word("0"), bcode("0"))
-        assert len(fs) == 1 and fs[0].factors == (BINARY.word("0"),)
+        assert first_factorization(BINARY.word("0"), bcode("0")).factors == (BINARY.word("0"),)
 
     def test_wrong_symbol_has_no_factorization(self):
-        assert factorizations(BINARY.word("1"), bcode("0")) == ()
+        assert first_factorization(BINARY.word("1"), bcode("0")) is None
 
     def test_soundness_and_completeness_against_splitter(self):
         codes = [
@@ -109,28 +109,24 @@ class TestFactorizations:
         ]
         for code in codes:
             for word in binary_words_up_to(8):
-                expected = splitter(word, code)
-                actual = factorizations(word, code)
-                assert [f.factors for f in actual] == [tuple(seq) for seq in expected]
-                for f in actual:
-                    assert f.concatenation == word
+                first = first_factorization(word, code)
+                assert (first is None) == (not splitter(word, code))
+                if first is not None:
+                    assert first.concatenation == word
+                    assert all(factor in code for factor in first.factors)
 
     def test_at_most_one_under_ud(self):
+        # cross-checks is_ud: a UD code leaves no word two factorizations
         for code in binary_codes(3, 3):
             if not is_ud(code).is_ud:
                 continue
             for word in binary_words_up_to(6):
-                assert len(factorizations(word, code)) <= 1
-
-    def test_resource_cap(self):
-        # 0^24 over {0,00} has fib(25) = 75025 factorizations
-        with pytest.raises(ResourceLimitError):
-            factorizations(BINARY.word("0" * 24), bcode("0", "00"))
+                assert len(splitter(word, code)) <= 1
 
     def test_long_word_is_walked_without_recursion(self):
-        # 1600 factors, one factorization: deeper than the recursion limit
+        # 1600 factors: deeper than the recursion limit
         word = BINARY.word("01" * 800)
-        (only,) = factorizations(word, bcode("0", "1"))
+        only = first_factorization(word, bcode("0", "1"))
         assert len(only) == 1600 and only.concatenation == word
 
     def test_first_matches_enumeration(self):
@@ -144,10 +140,10 @@ class TestFactorizations:
         )
         for code in codes:
             for word in binary_words_up_to(7):
-                fs = factorizations(word, code)
+                splits = splitter(word, code)
                 first = first_factorization(word, code)
-                if fs:
-                    assert first == fs[0]
+                if splits:
+                    assert first.factors == splits[0]
                 else:
                     assert first is None
 
@@ -181,10 +177,6 @@ class TestFactorIndex:
             derived.append(without(code, code.words[drop % len(code)]))
         for c in derived:
             expected = reference_factorizations(word, c)
-            actual = factorizations(word, c)
-            assert [f.factors for f in actual] == expected
-            assert all(factor in c for f in actual for factor in f.factors)
-            assert all(f.concatenation == word for f in actual)
             first = first_factorization(word, c)
             if expected:
                 assert first.factors == expected[0]
@@ -467,7 +459,6 @@ class TestIsRefinement:
             (refines, (bcode("01"), other)),
             (refines, (other, bcode("01"))),
             (first_factorization, (word, other)),
-            (factorizations, (word, other)),
         ):
             with pytest.raises(MixedAlphabetsError, match="different alphabets"):
                 decide(*args)

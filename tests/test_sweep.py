@@ -1,10 +1,12 @@
 """The paper's monotonicity law swept over every small code and over real
-refinement pairs, against the factoring reference in ``helpers``."""
+refinement pairs, against the factoring reference in ``helpers``, and every
+check of ``verify`` swept over every small code."""
 
 import itertools
 import random
+from collections import Counter
 
-from codekraft import Alphabet, Word, check_monotonicity
+from codekraft import Alphabet, Word, check_monotonicity, verify
 from codekraft.core import Code, unit_code
 
 from helpers import (
@@ -61,3 +63,26 @@ def test_monotonicity_over_refinement_pairs():
             pairs += 1
             irredundant += report.get("irredundant")
     assert pairs > 300 and 0 < irredundant < pairs
+
+
+def test_verify_passes_on_every_small_code():
+    # the 1,471 binary codes of at most 4 words of length at most 3: no report
+    # fails, and a check is skipped only for one of three expected reasons
+    codes = list(binary_codes(4, 3))
+    skipped = Counter()
+    for code in codes:
+        reports, notes = verify(code)
+        assert all(report.passed for report in reports), code
+        for note in notes:
+            check, reason = note.split(": SKIPPED (", 1)
+            skipped[check, reason.partition(":")[0].removesuffix(")")] += 1
+    not_ud = "code is not uniquely decipherable"
+    assert len(codes) == 1471
+    assert skipped == {
+        ("monotonicity", "empty code"): 1,
+        ("equal-kraft-chain", "empty code"): 1,
+        ("equal-kraft-chain", "power-chain Kraft values differ"): 672,
+        ("monotonicity", not_ud): 784,
+        ("equal-kraft-finiteness", not_ud): 784,
+        ("equal-kraft-chain", not_ud): 784,
+    }
