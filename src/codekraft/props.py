@@ -105,10 +105,14 @@ def _verdict(code: Code) -> UdVerdict:
 
 
 def _effective_kmax(cardinality: int, kmax: int, max_words: int) -> int:
-    k = kmax
-    while k > 1 and cardinality**k > max_words:
-        k -= 1
-    return k
+    # the largest k <= kmax with cardinality**k <= max_words, or 1 if kmax is
+    # larger and there is none; the powers are multiplied up from k = 1
+    if cardinality <= min(1, max_words):
+        return kmax
+    k, count = 1, cardinality
+    while k < kmax and count * cardinality <= max_words:
+        k, count = k + 1, count * cardinality
+    return min(k, kmax)
 
 
 def check_mcmillan(code: Code, kmax: int = 3) -> PropositionReport:

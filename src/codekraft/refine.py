@@ -20,17 +20,17 @@ Two searches cut words at the boundaries of code words, one per question:
   of a coarse code together by their first factor.  Words share remainders:
   cut after their first factor, the |C|^k words of C^k for a prefix code C
   leave only the |C|^(k-1) words of C^(k-1), each decided once.  Sorted
-  words of one length and first factor form a span, found by binary search,
-  and spans with equal remainders share them.  Small sets, and sets that
-  share few remainders, fall back to the per-word search.
+  words of one length that start with one code word form a piece, found by
+  binary search, and pieces with equal remainders share them.  Small sets,
+  and sets that share few remainders, fall back to the per-word search.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import cache, reduce
-from itertools import compress, repeat
-from operator import itemgetter, not_, or_
+from functools import cache
+from itertools import compress, islice, repeat, takewhile
+from operator import methodcaller, or_
 from typing import Callable, Container, Optional, Sequence
 
 from .core import Code, Factorization, Key, Word
@@ -81,77 +81,77 @@ def _first_factors(
 # {00,01,10,11}; on subsets whose remainders need not halve, 1.27 at 16-23.
 _BATCH_MIN = 16
 
-# The crossover level size, below which testing each key's heads beats spans.
-# On C^k over C^j, (k, j) = (2, 1), (3, 1), (4, 2), (6, 3), for such codes of 3
-# to 10 words, spans took 1.21 times as long at 128 to 255 keys, 1.09-1.50 at
-# 256, 0.81-1.20 at 343, 0.77 at 512 to 1,023 and 0.38 at 4,096 or more.
-_SPAN_MIN = 300
+
+def _nested(fine: Code) -> dict[Key, list[Key]]:
+    """The fine keys that are proper prefixes of other fine keys, each with
+    those keys, which follow it in lexicographic order (as in ``code_power``)."""
+    ordered = sorted(fine.indices)
+    starts = compress(range(len(ordered)), map(str.startswith, islice(ordered, 1, None), ordered))
+    return {ordered[i]: list(takewhile(methodcaller("startswith", ordered[i]), islice(ordered, i + 1, None))) for i in starts}
 
 
-def _heads(keys: Sequence[Key], fine: Code) -> tuple[dict[int, bytes], list[tuple[slice | bytes, int]]]:
-    """Where ``fine`` keys are heads of the shortlex-sorted ``keys``: a mask
-    per length, and the pieces :func:`_cut` cuts after a head length.  On a
-    level of ``_SPAN_MIN`` keys or more a piece is a span's slice, which ends
-    at its head padded with the last symbol; else it is a length's mask."""
-    n = len(keys)
+def _heads(keys: Sequence[Key], fine: Code, nested: dict[Key, list[Key]]) -> tuple[list[tuple[int, int, int]], bool]:
+    """The pieces of the shortlex-sorted ``keys`` that :func:`_cut` cuts, and
+    whether every key has a fine head.  A piece (lo, hi, length) is the keys
+    of one width that start with the fine key keys[lo][:length].  The first
+    key of a width not yet in a piece starts one at its shortest head f, up
+    to f padded with the alphabet's last symbol; those keys have no other
+    heads but the fine keys ``nested`` under f, each a piece inside it."""
     words, lengths = fine.factor_index()
-    if n < _SPAN_MIN:
-        hits = {length: bytes(map(words.__contains__, map(itemgetter(slice(length)), keys))) for length in lengths}
-        return hits, [(hit, length) for length, hit in hits.items()]
-    heads, top = fine.indices, chr(fine.alphabet.size - 1)
-    ends = [bisect_right(heads, length, key=len) for length in lengths]
-    marks = {length: bytearray(n) for length in lengths}
-    spans: list[tuple[slice | bytes, int]] = []
-    a = 0
+    top = chr(fine.alphabet.size - 1)
+    pieces: list[tuple[int, int, int]] = []
+    covered, a, n = True, 0, len(keys)
     while a < n:
         width = len(keys[a])
-        b = bisect_right(keys, width, a, key=len)
-        for length, start, end in zip(lengths, [0, *ends], ends):
-            if length > width:
-                break
-            pad = top * (width - length)
-            # only heads between those of the width's first and last keys
-            i = bisect_left(heads, keys[a][:length], start, end)
-            lo = a
-            for f in heads[i : bisect_right(heads, keys[b - 1][:length], i, end)]:
-                lo = bisect_left(keys, f, lo, b)
-                hi = bisect_right(keys, f + pad, lo, b)
+        end = bisect_right(keys, width, a, key=len)
+        pad = top * width
+        while a < end:
+            key = keys[a]
+            # past the key's width f is the whole key, a fine key only if
+            # its width, tried before, is a fine length
+            for length in lengths:
+                f = key[:length]
+                if f in words:
+                    break
+            else:
+                covered, a = False, a + 1
+                continue
+            b = bisect_right(keys, f + pad[length:], a, end)
+            pieces.append((a, b, length))
+            for g in nested.get(f, ()):
+                lo = bisect_left(keys, g, a, b)
+                hi = bisect_right(keys, g + pad[len(g):], lo, b)
                 if lo < hi:
-                    spans.append((slice(lo, hi), length))
-                    marks[length][lo:hi] = b"\1" * (hi - lo)
-                    lo = hi
-        a = b
-    return marks, spans
+                    pieces.append((lo, hi, len(g)))
+            a = b
+    return pieces, covered
 
 
-def _cut(keys: Sequence[Key], pieces: list) -> Optional[tuple[list[int], list[list[Key]], list[Key]]]:
+def _cut(keys: Sequence[Key], pieces: list[tuple[int, int, int]]) -> Optional[tuple[list[int], list[list[Key]], list[Key]]]:
     """Each piece's block of tails (an index), the blocks, and the distinct
     nonempty tails in shortlex order; None once they outnumber half the
-    keys.  A span's keys share one head f and one width, so its tails are a
-    block T of its size iff the joined span is f + f.join(T)."""
+    keys.  A piece's keys share one head f and one width, so its tails are a
+    block T of its size iff the joined piece is f + f.join(T)."""
     limit = len(keys) // 2
-    rests: set[Key] = set()
+    rests: set[Key] = {""}  # the empty tail too, until the end
     shared: list[int] = []
     blocks: list[list[Key]] = []
     hints: dict[tuple[int, Key, Key], int] = {}
-    for selector, length in pieces:
-        selected = compress(keys, selector) if isinstance(selector, bytes) else keys[selector]
-        if isinstance(selector, slice) and selector.stop - selector.start > 1:
-            lo, hi = selector.start, selector.stop
+    for lo, hi, length in pieces:
+        if hi - lo > 1:
             hint = (hi - lo, keys[lo][length:], keys[hi - 1][length:])
-            k = hints.get(hint)
-            f = keys[lo][:length]
-            if k is not None and "".join(selected) == f + f.join(blocks[k]):
+            k, f = hints.get(hint), keys[lo][:length]
+            if k is not None and "".join(keys[lo:hi]) == f + f.join(blocks[k]):
                 shared.append(k)
                 continue
             hints[hint] = len(blocks)
-        tails = list(map(itemgetter(slice(length, None)), selected))
+        tails = [t[length:] for t in keys[lo:hi]]
         shared.append(len(blocks))
         blocks.append(tails)
         rests.update(tails)
-        rests.discard("")
-        if len(rests) > limit:
+        if len(rests) > limit + 1:
             return None
+    rests.discard("")
     ordered = sorted(rests)
     ordered.sort(key=len)
     return shared, blocks, ordered
@@ -181,15 +181,17 @@ def refines(coarse: Code, fine: Code) -> bool:
     built: :func:`first_factorization` gives one per word.  All coarse
     words are decided at once by their first cut, since F+ = F·F*: a word
     factors iff some fine word is a head of it and the remainder is empty or
-    factors.  Each level finds its keys' heads (:func:`_heads`) and cuts
-    them off (:func:`_cut`); the distinct tails, strictly shorter keys, make
-    the next level.  A level of fewer than ``_BATCH_MIN`` keys, or one whose
-    tails are not at most half as many, is searched key by key with
-    :func:`_first_factors`.  So each level kept has at most half the keys of
-    the one above, and all levels together at most twice the coarse code's,
-    none longer than its longest word.  The verdicts are then carried back
-    up: a key factors iff one of its heads leaves a tail that did not fail,
-    and a block of tails is tested once for all the spans that share it.
+    factors.  Each level parts its keys into pieces of one width under one
+    fine head (:func:`_heads`) and cuts the heads off (:func:`_cut`); the
+    distinct tails, strictly shorter keys, make the next level.  A level of
+    fewer than ``_BATCH_MIN`` keys, or one whose tails are not at most half
+    as many, is searched key by key with :func:`_first_factors`.  So each
+    level kept has at most half the keys of the one above, and all levels
+    together at most twice the coarse code's, none longer than its longest
+    word.  The verdicts are then carried back up: a key factors iff one of
+    its heads leaves a tail that did not fail, a block of tails is tested
+    once for all the pieces that share it, and a level whose keys all have
+    heads passes whole when no tail below it failed.
 
     Two exits come first: a coarse code searched word by word stops at its
     first failing word, and one in which some word has no fine head of any
@@ -198,36 +200,32 @@ def refines(coarse: Code, fine: Code) -> bool:
     _require_same_alphabet(coarse, fine)
     words, lengths = fine.factor_index()
     keys: Sequence[Key] = coarse.indices
+    nested = _nested(fine) if len(keys) >= _BATCH_MIN else {}
     levels = []
     while len(keys) >= _BATCH_MIN:
-        hits, pieces = _heads(keys, fine)
-        covered = reduce(or_, (int.from_bytes(hit, "little") for hit in hits.values()), 0)
+        pieces, covered = _heads(keys, fine, nested)
         # an empty fine code has no lengths, so no word has a head
-        if not levels and 0 in covered.to_bytes(len(keys), "little"):
+        if not levels and not covered:
             return False
         cut = _cut(keys, pieces)
         if cut is None:
             break
-        levels.append((keys, hits, covered, pieces, *cut[:2]))
+        levels.append((keys, covered, pieces, *cut[:2]))
         keys = cut[2]
     searched = (t in words or _first_factors(t, words, lengths) is not None for t in keys)
     if not levels:
         return all(searched)
     verdicts = bytes(searched)
-    for upper, hits, found, pieces, shared, blocks in reversed(levels):
-        failed = set(compress(keys, map(not_, verdicts)))
-        keys = upper
-        if failed:
-            # bad[length][i] is 1 iff key i's tail after that head length failed
-            fails = [bytes(map(failed.__contains__, tails)) for tails in blocks]
-            bad = {length: bytearray(len(upper)) for length in hits}
-            for (selector, length), k in zip(pieces, shared):
-                if isinstance(selector, slice):
-                    bad[length][selector] = fails[k]
-                else:
-                    bad[length][:] = map(failed.__contains__, map(itemgetter(slice(length, None)), upper))
-            found = reduce(or_, (int.from_bytes(hits[n], "little") & ~int.from_bytes(m, "little") for n, m in bad.items()))
-        verdicts = found.to_bytes(len(upper), "little")
+    for upper, covered, pieces, shared, blocks in reversed(levels):
+        if covered and 0 not in verdicts:
+            keys, verdicts = upper, b"\1" * len(upper)
+            continue
+        passed = {"", *compress(keys, verdicts)}
+        keys, verdicts = upper, bytearray(len(upper))
+        # a key factors iff the tail after one of its heads passed
+        oks = [bytes(map(passed.__contains__, tails)) for tails in blocks]
+        for (lo, hi, _), k in zip(pieces, shared):
+            verdicts[lo:hi] = map(or_, verdicts[lo:hi], oks[k])
     return all(verdicts)
 
 

@@ -32,6 +32,7 @@ from codekraft import (
 )
 from codekraft import cli, decipher, props
 from codekraft.core import Code, unit_code
+from codekraft.power import DEFAULT_MAX_POWER_WORDS
 
 from helpers import BINARY, bcode, binary_codes, random_prefix_codes, random_ud_pairs, refines_by_tuples
 
@@ -113,6 +114,24 @@ class TestPowerLaw:
     def test_kmax_validated(self):
         with pytest.raises(ValueError):
             check_power_law(bcode("0"), kmax=1)
+
+    @pytest.mark.parametrize(
+        "cardinality, expected",
+        [(0, (2, 3, 10_000)), (1, (2, 3, 10_000)), (2, (2, 3, 16)), (3, (2, 3, 10))],
+    )
+    def test_effective_kmax(self, cardinality, expected):
+        # at the default cap of 10^5 power words: 2^16 and 3^10 fit, 2^17 and 3^11 do not
+        effective = tuple(props._effective_kmax(cardinality, kmax, DEFAULT_MAX_POWER_WORDS) for kmax in (2, 3, 10_000))
+        assert effective == expected
+
+    def test_effective_kmax_matches_its_definition(self):
+        # the largest k <= kmax with |C|^k <= max_words; 1 if none is but kmax > 1
+        for cardinality in range(6):
+            for kmax in range(-1, 8):
+                for max_words in (-1, 0, 1, 2, 3, 8, 9, 26, 27, 1000):
+                    fitting = [k for k in range(1, kmax + 1) if cardinality**k <= max_words]
+                    expected = kmax if kmax <= 1 else max(fitting, default=1)
+                    assert props._effective_kmax(cardinality, kmax, max_words) == expected
 
     def test_corpus_sweep(self):
         for code in binary_codes(2, 3):

@@ -236,6 +236,44 @@ def per_word_verdicts(coarse, fine):
     return [first_factorization(w, fine) is not None for w in coarse]
 
 
+def suffix_keys(rng, size, count):
+    """The keys of a suffix code of at least ``count`` words over ``size``
+    symbols: the reversed leaves of a random prefix tree, which are
+    prefixes of one another wherever a leaf's reversal ends another's."""
+    leaves = list(map(chr, range(size)))
+    while len(leaves) < count:
+        leaf = leaves.pop(rng.randrange(len(leaves)))
+        leaves += [leaf + chr(s) for s in range(size)]
+    return [leaf[::-1] for leaf in leaves]
+
+
+def large_code(kind, rng, count):
+    """A binary code of about ``count`` words that is not prefix-free: a
+    suffix code, or a suffix code over 4 letters mapped through the prefix
+    code {0, 10, 110, 111}."""
+    if kind == "suffix":
+        keys = suffix_keys(rng, 2, count)
+    else:
+        inner = ("\0", "\1\0", "\1\1\0", "\1\1\1")
+        keys = ["".join(inner[ord(c)] for c in key) for key in suffix_keys(rng, 4, count)]
+    return Code(BINARY, [key_word(BINARY, t) for t in keys])
+
+
+@st.composite
+def piece_levels(draw):
+    """A level of distinct keys in shortlex order and a fine code, which is
+    often not prefix-free, over {0, 1} or {0, 1, 2}."""
+    alphabet = draw(st.sampled_from((BINARY, TERNARY)))
+
+    def words(max_len):
+        symbols = st.lists(st.integers(0, alphabet.size - 1), min_size=1, max_size=max_len)
+        return symbols.map(lambda t: Word(alphabet, tuple(t)))
+
+    fine = Code(alphabet, draw(st.lists(words(3), max_size=6)))
+    keys = Code(alphabet, draw(st.lists(words(7), min_size=1, max_size=60))).indices
+    return keys, fine
+
+
 @pytest.fixture
 def batched_levels(monkeypatch):
     """The outcome of each first cut the batched search makes: True when it
@@ -328,13 +366,11 @@ class TestRefines:
         assert not refines(coarse, fine)
 
     def test_span_sharing_end_tails_but_not_a_middle_one(self, batched_levels):
-        # the spans of heads 00, 01 and 10 have equal sizes and equal first
-        # and last tails, but one middle tail of the 10 span holds 11 at an
+        # the pieces of heads 00, 01 and 10 have equal sizes and equal first
+        # and last tails, but one middle tail of the 10 piece holds 11 at an
         # even offset, so it does not factor over {00, 01, 10}
         fine = bcode("00", "01", "10")
-        m = 1
-        while 3 ** (m + 1) < refine._SPAN_MIN:
-            m += 1
+        m = 5
         tails = [w.text for w in code_power(fine, m)]
         middle = tails[len(tails) // 2]
         assert middle.startswith("01")
@@ -343,7 +379,7 @@ class TestRefines:
         assert (changed[0], changed[-1], len(changed)) == (tails[0], tails[-1], len(tails))
         texts = [head + t for head in ("00", "01") for t in tails] + ["10" + t for t in changed]
         coarse = Code(BINARY, [BINARY.word(text) for text in texts])
-        assert len(coarse) >= refine._SPAN_MIN
+        assert len(coarse) == 729
         expected = per_word_verdicts(coarse, fine)
         assert expected.count(False) == 1
         assert not refines(coarse, fine)
@@ -355,12 +391,10 @@ class TestRefines:
         # 00 fails, the tail t after 0011 factors
         fine = bcode("00", "01", "10", "0011")
         base = bcode("00", "01", "10")
-        k = 3
-        while 10 * 3 ** (k - 2) < refine._SPAN_MIN:
-            k += 1
+        k = 6
         doubled = [BINARY.word("0011" + w.text) for w in code_power(base, k - 2)]
         coarse = Code(BINARY, [*code_power(base, k), *doubled])
-        assert len(coarse) >= refine._SPAN_MIN
+        assert len(coarse) == 810
         assert first_factorization(BINARY.word(doubled[0].text[2:]), fine) is None
         assert refines(coarse, fine) and all(per_word_verdicts(coarse, fine))
         assert batched_levels[0]
@@ -371,7 +405,7 @@ class TestRefines:
 
     @pytest.mark.parametrize("size", [300, 0xD801])
     def test_span_ends_on_large_alphabets(self, size, batched_levels):
-        # the spans of a head must reach keys that continue with the last
+        # the pieces of a head must reach keys that continue with the last
         # symbol, whose index is 299, or 0xD800, a surrogate code point
         alphabet = Alphabet("".join(map(chr, range(0x20000, 0x20000 + size))))
         top = chr(size - 1)
@@ -379,11 +413,44 @@ class TestRefines:
         base = Code(alphabet, [key_word(alphabet, t) for t in keys])
         square = code_power(base, 2)
         coarse = code_power(square, 2)
-        assert len(coarse) >= refine._SPAN_MIN
+        assert len(coarse) == 625
         assert refines(coarse, square)
         assert batched_levels[0]
         assert not refines(coarse, without(square, key_word(alphabet, top + top)))
         assert not refines(square, coarse)
+
+    @pytest.mark.parametrize(
+        "kind, k, j, size, salt",
+        [
+            # seeds whose first level cuts to at most half as many tails
+            ("suffix", 3, 1, 10, "b"),
+            ("suffix", 3, 1, 16, "b"),
+            ("suffix", 4, 2, 6, "a"),
+            ("suffix", 4, 2, 7, "c"),
+            ("composed", 3, 1, 10, "a"),
+            ("composed", 3, 1, 16, "a"),
+            ("composed", 4, 2, 5, "a"),
+            ("composed", 4, 2, 7, "b"),
+        ],
+    )
+    def test_large_levels_over_fine_codes_that_are_not_prefix_free(self, kind, k, j, size, salt, batched_levels):
+        # a fine key that is a prefix of others heads pieces nested in its own
+        rng = random.Random(f"{kind}:{k}:{j}:{size}{salt}")
+        base = large_code(kind, rng, size)
+        coarse, full = code_power(base, k), code_power(base, j)
+        assert 300 <= len(coarse) <= 5_000
+        ordered = sorted(full.indices)
+        assert any(map(str.startswith, ordered[1:], ordered))
+        assert refines(coarse, full) and all(per_word_verdicts(coarse, full))
+        assert batched_levels[0]
+        fine = without(full, rng.choice(full.words))
+        expected = per_word_verdicts(coarse, fine)
+        assert refines(coarse, fine) == all(expected)
+        factoring = list(itertools.compress(coarse, expected))
+        assert refines(Code(BINARY, factoring), fine)
+        # w^k over C without w has one factorization, through w
+        failing = [w for w, holds in zip(coarse, expected) if not holds]
+        assert failing and not refines(Code(BINARY, [*factoring, failing[-1]]), fine)
 
     @pytest.mark.parametrize("extra", [(), ("1",), ("00",), ("110",), ("0110",)])
     def test_irredundance_of_large_coarse_code(self, extra):
@@ -406,6 +473,35 @@ class TestRefines:
         ]
         dot = cli.export_hasse(parsed)
         assert '"code0" -> "code1";' in dot and '"code1" -> "code2";' in dot
+
+
+class TestPieces:
+    """The pieces :func:`refine._cut` cuts.  It reuses a block of tails for a
+    piece when the joined piece equals f + f.join(block), a test that is
+    exact only when all the piece's keys have one width: then the tails
+    align and are compared one by one.  Ranges that mixed widths would
+    break it: under head 0 the tail lists ['', '0', '0000', '0001'] and
+    ['', '00', '000', '0001'] have equal sizes, first tails, last tails
+    and joins."""
+
+    @seed(20261022)
+    @settings(max_examples=150, deadline=None)
+    @given(piece_levels())
+    def test_each_piece_is_one_width_under_one_fine_key(self, level):
+        keys, fine = level
+        words = set(fine.indices)
+        pieces, covered = refine._heads(keys, fine, refine._nested(fine))
+        placed = []
+        for lo, hi, length in pieces:
+            assert 0 <= lo < hi <= len(keys)
+            assert len({len(key) for key in keys[lo:hi]}) == 1
+            head = keys[lo][:length]
+            assert head in words and all(key.startswith(head) for key in keys[lo:hi])
+            placed += [(i, length) for i in range(lo, hi)]
+        # each head of each key lies in one piece, and only those
+        heads = [(i, len(f)) for i, key in enumerate(keys) for f in words if key.startswith(f)]
+        assert sorted(placed) == sorted(heads)
+        assert covered == (len({i for i, _ in heads}) == len(keys))
 
 
 class TestIsRefinement:
