@@ -106,8 +106,14 @@ def is_ud(code: Code, max_states: int = DEFAULT_MAX_STATES) -> UdVerdict:
     length among those reachable through the recorded parents (ties broken
     by shortlex on the concatenated word).
 
-    ``max_states`` bounds the dangling-suffix universe.  The universe is
-    finite for finite codes, so the bound only guards implementation bugs.
+    ``max_states`` bounds the dangling-suffix universe, and passing it
+    raises :class:`ResourceLimitError`.  The dangling suffixes are proper
+    suffixes of code words, so there are fewer of them than the code has
+    symbols in all, but a code of more than 10^6 symbols can exceed the
+    default cap.  It is a resource limit like the others: the CLI's
+    ``--max-states`` exits with status 3 when it trips, and ``verify``
+    reports a check that trips it as SKIPPED (only the code's own UD test
+    raises there).
     """
     parents, terminals = _saturate(code.indices, max_states)
     if not terminals:

@@ -186,8 +186,21 @@ class TestMonotonicity:
             report = check_monotonicity(coarse, fine, kmax=2)
             assert report.passed
 
+    def test_no_power_is_built(self, monkeypatch):
+        # cover inclusion follows from the refinement and unique factorization
+        def no_power(*args):
+            raise AssertionError("check_monotonicity built a power")
+
+        monkeypatch.setattr(props, "code_power", no_power)
+        assert check_monotonicity(bcode("00", "011", "1110"), bcode("0", "10", "11"), kmax=3).passed
+        report = check_monotonicity(bcode("01101001"), bcode("01", "10"), kmax=10_000)
+        assert report.passed and report.get("effective_kmax") == 10_000
+        checked = [value for name, value in report.details if name.endswith(".words_checked")]
+        assert checked == [1] * 10_000
+
     def test_only_the_fine_code_builds_its_words(self, monkeypatch):
-        # the powers of the coarse code are factored as keys
+        # no power of the coarse code is built, and the refinement and
+        # irredundance searches read only the fine code's key index
         indexed = []
         factor_index = Code.factor_index
 

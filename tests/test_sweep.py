@@ -8,6 +8,7 @@ from collections import Counter
 
 from codekraft import Alphabet, Word, check_monotonicity, verify
 from codekraft.core import Code, unit_code
+from codekraft.power import DEFAULT_MAX_POWER_WORDS
 
 from helpers import (
     BINARY,
@@ -26,11 +27,31 @@ def ud_codes(codes):
     return [code for code in codes if ud_by_tuples(index_tuples(code))]
 
 
+def ternary_words(max_len: int):
+    return [Word(TERNARY, t) for n in range(1, max_len + 1) for t in itertools.product(range(3), repeat=n)]
+
+
 def ternary_codes(max_words: int, max_len: int):
-    words = [Word(TERNARY, t) for n in range(1, max_len + 1) for t in itertools.product(range(3), repeat=n)]
+    words = ternary_words(max_len)
     for size in range(max_words + 1):
         for combo in itertools.combinations(words, size):
             yield Code(TERNARY, combo)
+
+
+def refinement_pairs(alphabet, fine_codes, words, max_words: int, seed: int):
+    """Each UD fine code D other than the unit code, with three sampled
+    codes of up to ``max_words`` of ``words`` that D refines, kept if UD."""
+    rng = random.Random(seed)
+    unit = unit_code(alphabet)
+    for fine in ud_codes(fine_codes):
+        if fine == unit or not len(fine):
+            continue
+        fine_tuples = set(index_tuples(fine))
+        factorable = [w for w in words if factors_by_tuples(tuple(map(ord, w.indices)), fine_tuples)]
+        for _ in range(3):
+            coarse = Code(alphabet, rng.sample(factorable, min(len(factorable), rng.randint(1, max_words))))
+            if ud_by_tuples(index_tuples(coarse)):
+                yield coarse, fine
 
 
 def test_monotonicity_against_the_unit_code_is_the_factoring_report():
@@ -42,27 +63,30 @@ def test_monotonicity_against_the_unit_code_is_the_factoring_report():
 
 
 def test_monotonicity_over_refinement_pairs():
-    # every UD fine code D of up to 3 binary words of length up to 3 other
-    # than {0, 1}, each with sampled UD coarse codes of up to 4 words of
-    # length up to 5 that D refines
-    rng = random.Random(20261021)
-    unit = unit_code(BINARY)
-    words = binary_words_up_to(5)
+    # binary fine codes of up to 3 words of length up to 3, coarse codes of
+    # up to 4 words of length up to 5
     pairs = irredundant = 0
-    for fine in ud_codes(binary_codes(3, 3)):
-        if fine == unit or not len(fine):
-            continue
-        fine_tuples = set(index_tuples(fine))
-        factorable = [w for w in words if factors_by_tuples(tuple(map(ord, w.indices)), fine_tuples)]
-        for _ in range(3):
-            coarse = Code(BINARY, rng.sample(factorable, min(len(factorable), rng.randint(1, 4))))
-            if not ud_by_tuples(index_tuples(coarse)):
-                continue
-            report = check_monotonicity(coarse, fine)
-            assert report.passed and report == monotonicity_report(coarse, fine), (coarse, fine)
-            pairs += 1
-            irredundant += report.get("irredundant")
+    for coarse, fine in refinement_pairs(BINARY, binary_codes(3, 3), binary_words_up_to(5), 4, 20261021):
+        report = check_monotonicity(coarse, fine)
+        assert report.passed and report == monotonicity_report(coarse, fine), (coarse, fine)
+        pairs += 1
+        irredundant += report.get("irredundant")
     assert pairs > 300 and 0 < irredundant < pairs
+
+
+def test_monotonicity_over_ternary_pairs_at_kmax_4_and_under_a_cap():
+    # ternary fine codes of up to 3 words of length up to 2, coarse codes of
+    # up to 3 words of length up to 4, at kmax 4 under the default cap and
+    # under a cap of 8 words, which cuts kmax for every coarse code of 2 or
+    # more words
+    pairs = capped = 0
+    for coarse, fine in refinement_pairs(TERNARY, ternary_codes(3, 2), ternary_words(4), 3, 20261022):
+        for cap in (DEFAULT_MAX_POWER_WORDS, 8):
+            report = check_monotonicity(coarse, fine, 4, cap)
+            assert report.passed and report == monotonicity_report(coarse, fine, 4, cap), (coarse, fine, cap)
+            capped += report.get("effective_kmax") < 4
+        pairs += 1
+    assert pairs > 600 and 400 < capped < pairs
 
 
 def test_verify_passes_on_every_small_code():
